@@ -27,6 +27,11 @@ from .steady_state import StabilityReport
 PHYSICALITY_ATOL = 1e-6
 # Floor below which a residual contangle counts as numerically zero.
 RESIDUAL_FLOOR = -1e-9
+# Relative split sqrt(Dt^2 - 4 det sigma) / Dt of the two partially
+# transposed symplectic eigenvalues below which full_report takes a pair's
+# negativity from its eigenvalues, not from the closed form: there the
+# closed form's error grows as 1e-16 / split.
+MIN_ROOT_SPLIT = 1e-2
 
 
 class Mode(enum.IntEnum):
@@ -84,6 +89,9 @@ _PAIRS = (
     ("mc1", Mode.MAGNON, Mode.CAVITY_1),
     ("mc2", Mode.MAGNON, Mode.CAVITY_2),
 )
+_PAIR_KEYS_OF = {
+    mode: tuple(key for key, a, b in _PAIRS if mode in (a, b)) for mode in Mode
+}
 _STEERING_DIRECTIONS = (
     ("c1|c2", Mode.CAVITY_1, Mode.CAVITY_2),
     ("c2|c1", Mode.CAVITY_2, Mode.CAVITY_1),
@@ -124,15 +132,17 @@ def symplectic_eigenvalues(v) -> np.ndarray:
     return np.sort(np.abs(ev.imag))[1::2]
 
 
-def _check_physical(v, atol: float = PHYSICALITY_ATOL) -> float:
-    nu = symplectic_eigenvalues(v)
-    nu_min = float(nu[0])
-    if nu_min < 0.5 - atol:
+def _require_heisenberg(nu_min: float) -> float:
+    if nu_min < 0.5 - PHYSICALITY_ATOL:
         raise PhysicalityError(
             f"covariance matrix violates the Heisenberg bound "
             f"(min symplectic eigenvalue {nu_min:.6g} < 1/2)"
         )
     return nu_min
+
+
+def _check_physical(v) -> float:
+    return _require_heisenberg(float(symplectic_eigenvalues(v)[0]))
 
 
 def _pt_min_eigenvalue(v, mask, omega) -> float:
@@ -191,9 +201,13 @@ def min_residual_contangle(v) -> float:
     return max(0.0, smallest)
 
 
-def _renyi2_entropy_arg(det_value: float, context: str) -> float:
+def _require_positive_det(det_value: float, context: str):
     if det_value <= 0.0:
         raise PhysicalityError(f"non-positive determinant ({det_value:.3e}) for {context}")
+
+
+def _renyi2_entropy_arg(det_value: float, context: str) -> float:
+    _require_positive_det(det_value, context)
     return 0.5 * math.log(det_value)
 
 
@@ -315,6 +329,75 @@ class CorrelationReport:
         return out
 
 
+# Stacked sign masks for the batched spectra of full_report: all ones (the
+# symplectic spectrum of V itself), then the one-vs-two partial transposes in
+# Mode order.
+_SPECTRUM_MASKS = np.array([np.ones(6)] + [PT_ONE_VS_TWO[mode] for mode in Mode])
+_SPECTRUM_SIGNS = _SPECTRUM_MASKS[:, :, None] * _SPECTRUM_MASKS[:, None, :]
+# Quadrature indices and mode numbers of each _PAIRS entry.
+_PAIR_INDEX = np.array([a.indices + b.indices for _, a, b in _PAIRS])
+_PAIR_A = np.array([int(a) for _, a, _ in _PAIRS])
+_PAIR_B = np.array([int(b) for _, _, b in _PAIRS])
+# Steerer mode and position in _PAIRS of each _STEERING_DIRECTIONS entry.
+_STEERER = np.array([int(s) for _, s, _ in _STEERING_DIRECTIONS])
+_DIRECTION_PAIR = np.array([
+    next(k for k, (_, a, b) in enumerate(_PAIRS) if {a, b} == {s, t})
+    for _, s, t in _STEERING_DIRECTIONS
+])
+
+
+def _measures(v):
+    """Every measure of a stationary CM from a handful of batched calls.
+
+    Returns (nu_min, pairwise E_N, one-vs-two E_N, steering) as floats and
+    lists in _PAIRS, Mode and _STEERING_DIRECTIONS order. One Heisenberg
+    check on V covers every reduced state, since each reduction of a physical
+    CM is physical. The two-mode quantities come from block invariants of
+    each pair CM sigma = [[A, C], [C^T, B]]: its smallest partially
+    transposed symplectic eigenvalue solves eta^2 = (Dt - sqrt(Dt^2 -
+    4 det sigma)) / 2 with Dt = det A + det B - 2 det C, and Renyi-2 steering
+    from a to b is (1/2) ln(det A / (4 det sigma)). These are the values of
+    log_negativity and gaussian_steering, which stay the eigenvalue-based
+    reference.
+    """
+    spectra = np.abs(np.linalg.eigvals(OMEGA_3 @ (v * _SPECTRUM_SIGNS)).imag)
+    # +/- i nu pairs: the second-smallest modulus is the smallest nu
+    nu_min = _require_heisenberg(float(np.sort(spectra[0])[1]))
+    e_n_one_vs_two = np.maximum(0.0, -np.log(2.0 * spectra[1:].min(axis=1)))
+
+    blocks = v.reshape(3, 2, 3, 2)
+    det_blocks = (
+        blocks[:, 0, :, 0] * blocks[:, 1, :, 1] - blocks[:, 0, :, 1] * blocks[:, 1, :, 0]
+    )
+    pair_cms = v[_PAIR_INDEX[:, :, None], _PAIR_INDEX[:, None, :]]
+    det_pairs = np.linalg.det(pair_cms)
+    for mode, det in zip(Mode, det_blocks.diagonal().tolist()):
+        _require_positive_det(det, f"reduced block of {mode.label}")
+    for (_, a, b), det in zip(_PAIRS, det_pairs.tolist()):
+        _require_positive_det(det, f"pair ({a.label}, {b.label})")
+
+    delta_pt = (
+        det_blocks[_PAIR_A, _PAIR_A] + det_blocks[_PAIR_B, _PAIR_B]
+        - 2.0 * det_blocks[_PAIR_A, _PAIR_B]
+    )
+    # the rationalized root: (Dt - split) / 2 cancels digits when eta is small
+    split = np.sqrt(np.maximum(delta_pt**2 - 4.0 * det_pairs, 0.0))
+    eta_sq = 2.0 * det_pairs / (delta_pt + split)
+    e_n_pairs = np.maximum(0.0, -0.5 * np.log(4.0 * eta_sq))
+    # Near a double root (nearly pure, weakly correlated pairs such as the
+    # vacuum at r = 0) rounding in Dt^2 - 4 det sigma costs the root half its
+    # digits, so those pairs take the eigenvalue route.
+    for k in np.flatnonzero(split < MIN_ROOT_SPLIT * delta_pt):
+        eta = _pt_min_eigenvalue(pair_cms[k], PT_PAIR, OMEGA_2)
+        e_n_pairs[k] = max(0.0, -math.log(2.0 * eta))
+
+    steering = np.maximum(
+        0.0,
+        0.5 * np.log(det_blocks[_STEERER, _STEERER] / (4.0 * det_pairs[_DIRECTION_PAIR])),
+    )
+    return nu_min, e_n_pairs.tolist(), e_n_one_vs_two.tolist(), steering.tolist()
+
+
 def full_report(p: PhysicalParams) -> CorrelationReport:
     """Stability, steady state and all correlation measures at one point."""
     try:
@@ -324,26 +407,18 @@ def full_report(p: PhysicalParams) -> CorrelationReport:
             return CorrelationReport(params=p, stability=report)
         d = model.diffusion_matrix(p)
         v = steady_state.solve_lyapunov(m, d)
-        nu_min = _check_physical(v)
+        nu_min, e_n_pairs, e_n_split, zeta = _measures(v)
 
-        e_n = {key: log_negativity(reduce(v, [a, b])) for key, a, b in _PAIRS}
-        one_vs_two = {
-            mode.label: log_negativity_one_vs_two(v, mode) for mode in Mode
-        }
+        e_n = {key: value for (key, _, _), value in zip(_PAIRS, e_n_pairs)}
+        one_vs_two = {mode.label: value for mode, value in zip(Mode, e_n_split)}
         residuals = {
             mode.label: one_vs_two[mode.label] ** 2
-            - sum(
-                e_n[key] ** 2
-                for key, a, b in _PAIRS
-                if mode in (a, b)
-            )
+            - sum(e_n[key] ** 2 for key in _PAIR_KEYS_OF[mode])
             for mode in Mode
         }
         smallest = min(residuals.values())
         r_tau_min = smallest if smallest < RESIDUAL_FLOOR else max(0.0, smallest)
-        steering = {
-            key: gaussian_steering(v, a, b) for key, a, b in _STEERING_DIRECTIONS
-        }
+        steering = {key: value for (key, _, _), value in zip(_STEERING_DIRECTIONS, zeta)}
         asymmetry = {
             "c1c2": abs(steering["c1|c2"] - steering["c2|c1"]),
             "mc1": abs(steering["m|c1"] - steering["c1|m"]),

@@ -5,10 +5,11 @@ Lyapunov equation
 
     M V + V M^T = -D
 
-which is vectorized through Kronecker products into a single 36x36 linear
-system and solved densely. V uses the same quadrature ordering as the drift
-matrix and the vacuum normalization 1/2 per quadrature, so the two-mode
-separability boundary sits at twice the minimum symplectic eigenvalue = 1.
+which is vectorized into the single 36x36 linear system
+(I (x) M + M (x) I) vec V = -vec D and solved densely. V uses the same
+quadrature ordering as the drift matrix and the vacuum normalization 1/2 per
+quadrature, so the two-mode separability boundary sits at twice the minimum
+symplectic eigenvalue = 1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import NumericalError, StabilityError
+from .errors import (
+    DimensionError,
+    DomainError,
+    NumericalError,
+    SingularMatrixError,
+    StabilityError,
+)
 
 # Verified residual bound for every solved point: ||M V + V M^T + D||_inf
 # relative to ||D||_inf.
@@ -55,15 +62,30 @@ def solve_lyapunov(m, d) -> np.ndarray:
         raise StabilityError(
             f"drift matrix is unstable (max Re lambda = {report.max_real_part:.6e})"
         )
+    if d.shape != m.shape:
+        raise DimensionError(f"d has shape {d.shape}, expected {m.shape}")
+    if not np.isfinite(d).all():
+        raise DomainError("d contains non-finite entries")
     n = m.shape[0]
-    eye = np.eye(n)
-    coeff = numerics.kron(eye, m) + numerics.kron(m, eye)
-    v = numerics.solve_linear(coeff, -d.reshape(-1)).reshape(n, n)
+    # I (x) M + M (x) I: entry [(i, k), (j, l)] is delta_ij M_kl + M_ij delta_kl
+    coeff = np.zeros((n, n, n, n))
+    diag = np.arange(n)
+    coeff[diag, :, diag, :] = m
+    coeff[:, diag, :, diag] += m
+    coeff = coeff.reshape(n * n, n * n)
+    try:
+        # every eigenvalue of coeff is a sum lambda_i + lambda_j of drift
+        # eigenvalues, so Re < 0 after the stability check: LAPACK reporting
+        # an exactly singular factor is the only way this solve can fail
+        v = np.linalg.solve(coeff, -d.reshape(-1)).reshape(n, n)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"Lyapunov system is singular: {exc}") from exc
     v = 0.5 * (v + v.T)
 
-    residual = np.linalg.norm(m @ v + v @ m.T + d, np.inf)
-    bound = LYAPUNOV_RESIDUAL_RTOL * np.linalg.norm(d, np.inf)
-    if residual > bound:
+    # infinity norms: largest absolute row sum
+    residual = np.abs(m @ v + v @ m.T + d).sum(axis=1).max()
+    bound = LYAPUNOV_RESIDUAL_RTOL * np.abs(d).sum(axis=1).max()
+    if not residual <= bound:
         raise NumericalError(
             f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}"
         )

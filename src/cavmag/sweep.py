@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from . import model, steady_state
+from .errors import CavmagError, ValidationError
 from .measures import REPORT_COLUMNS, full_report
 from .model import PhysicalParams, default_params
 
@@ -148,41 +149,47 @@ def apply_axis_value(base: PhysicalParams, parameter: str, value: float) -> Phys
     raise ValidationError(f"unknown axis parameter {parameter!r}")
 
 
-def _point(spec: SweepSpec, flat_index: int):
-    """Axis coordinates and resolved parameters of one grid point."""
+def _evaluate_index(spec: SweepSpec, axis_values, flat_index: int) -> list:
+    """One output row; axis_values holds each axis's grid values."""
     coords = np.unravel_index(flat_index, spec.shape)
-    params = spec.base
-    axis_values = []
-    for ax, idx in zip(spec.axes, coords):
-        value = float(ax.values()[idx])
-        axis_values.append(value)
-        params = apply_axis_value(params, ax.parameter, value)
-    return axis_values, params
-
-
-def _evaluate_index(spec: SweepSpec, flat_index: int) -> list:
-    axis_values, params = _point(spec, flat_index)
-    report = full_report(params).as_dict()
-    return axis_values + [report[q] for q in spec.quantities] + [report["stable"]]
+    values = [float(grid[i]) for grid, i in zip(axis_values, coords)]
+    try:
+        params = spec.base
+        for ax, value in zip(spec.axes, values):
+            params = apply_axis_value(params, ax.parameter, value)
+        if spec.quantities == ("lambda_max",):
+            # a stability map needs the drift spectrum only, no steady state
+            stab = steady_state.stability(model.drift_matrix(params))
+            return values + [stab.max_real_part, stab.stable]
+        report = full_report(params).as_dict()
+    except CavmagError as exc:
+        where = ", ".join(f"{ax.parameter} = {v!r}" for ax, v in zip(spec.axes, values))
+        indices = tuple(int(i) for i in coords)
+        raise type(exc)(f"{exc} [at grid point {flat_index}, indices {indices}: {where}]") from exc
+    return values + [report[q] for q in spec.quantities] + [report["stable"]]
 
 
 def _evaluate_range(args) -> list:
     spec, lo, hi = args
-    return [_evaluate_index(spec, i) for i in range(lo, hi)]
+    axis_values = [ax.values() for ax in spec.axes]
+    return [_evaluate_index(spec, axis_values, i) for i in range(lo, hi)]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     """Evaluate the sweep grid, optionally across worker processes.
 
     Unstable grid points are flagged in the final column and their measures
-    are NaN; they never abort the sweep. The result is independent of the
-    worker count.
+    are NaN; they never abort the sweep. Any other CavmagError at a point
+    aborts it, re-raised with its type and the point's flat index, grid
+    indices and axis values. A sweep of lambda_max alone evaluates only the
+    drift spectrum. The result is independent of the worker count.
     """
     total = spec.size
     rows = []
     if workers <= 1:
+        axis_values = [ax.values() for ax in spec.axes]
         for i in range(total):
-            rows.append(_evaluate_index(spec, i))
+            rows.append(_evaluate_index(spec, axis_values, i))
             if progress is not None and (i + 1) % 1000 == 0:
                 progress(i + 1, total)
     else:
@@ -195,11 +202,19 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
         ]
         done = 0
         with multiprocessing.Pool(processes=workers) as pool:
-            for chunk in pool.imap(_evaluate_range, tasks):
-                rows.extend(chunk)
-                done += len(chunk)
-                if progress is not None:
-                    progress(done, total)
+            try:
+                for chunk in pool.imap(_evaluate_range, tasks):
+                    rows.extend(chunk)
+                    done += len(chunk)
+                    if progress is not None:
+                        progress(done, total)
+            except CavmagError:
+                # let the workers finish before the pool is torn down: one
+                # terminated while writing a result keeps the result queue's
+                # lock, and the pool's shutdown then waits for it forever
+                pool.close()
+                pool.join()
+                raise
     if progress is not None:
         progress(total, total)
     return SweepResult(spec=spec, columns=spec.columns, rows=rows)

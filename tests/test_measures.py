@@ -1,3 +1,7 @@
+import itertools
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -17,9 +21,11 @@ from cavmag.measures import (
     symplectic_eigenvalues,
     symplectic_form,
 )
-from cavmag.model import default_params, diffusion_matrix, drift_matrix
-from cavmag.steady_state import solve_lyapunov
+from cavmag.model import PhysicalParams, default_params, diffusion_matrix, drift_matrix
+from cavmag.steady_state import StabilityReport, solve_lyapunov
 from conftest import KAPPA_C, random_params
+
+GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "data", "golden_report.json")
 
 VACUUM_6 = 0.5 * np.eye(6)
 VACUUM_4 = 0.5 * np.eye(4)
@@ -35,6 +41,11 @@ def tmsv(s: float) -> np.ndarray:
 
 def steady_state_cm(p):
     return solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
+
+
+def forced_unstable(monkeypatch):
+    fake = StabilityReport(max_real_part=1.0, spectrum=np.ones(6, dtype=complex), stable=False)
+    monkeypatch.setattr(measures.steady_state, "stability", lambda m: fake)
 
 
 def sideband_params():
@@ -291,12 +302,7 @@ class TestFullReport:
             assert rep.r_tau_min == pytest.approx(swapped.r_tau_min, abs=1e-10)
 
     def test_unstable_point_is_flagged_not_fatal(self, monkeypatch):
-        from cavmag.steady_state import StabilityReport
-
-        fake = StabilityReport(
-            max_real_part=1.0, spectrum=np.ones(6, dtype=complex), stable=False
-        )
-        monkeypatch.setattr(measures.steady_state, "stability", lambda m: fake)
+        forced_unstable(monkeypatch)
         rep = full_report(default_params())
         assert not rep.stable
         assert rep.e_n is None and rep.steering is None
@@ -318,3 +324,66 @@ class TestFullReport:
         for column in measures.REPORT_COLUMNS:
             assert column in flat
         assert flat["e_n_mc_max"] == max(flat["e_n_mc1"], flat["e_n_mc2"])
+
+
+class TestBatchedReport:
+    """full_report against stored columns and the per-measure reference functions."""
+
+    def test_matches_golden_columns(self, monkeypatch):
+        # columns written by the per-measure eigenvalue implementation; see
+        # tests/data/make_golden_report.py
+        with open(GOLDEN_REPORT, encoding="utf-8") as handle:
+            golden = json.load(handle)
+        assert tuple(golden["columns"]) == measures.REPORT_COLUMNS
+        for entry in golden["points"]:
+            with monkeypatch.context() as patch:
+                if entry["forced_unstable"]:
+                    forced_unstable(patch)
+                row = full_report(PhysicalParams(**entry["params"])).as_dict()
+            assert row["stable"] is entry["stable"], entry["label"]
+            for column, expected in zip(golden["columns"], entry["columns"]):
+                if expected is None:
+                    assert np.isnan(row[column]), (entry["label"], column)
+                else:
+                    assert abs(row[column] - expected) <= 1e-12, (entry["label"], column)
+
+    @pytest.mark.parametrize("draw", ["moderate", "stiff", "weak squeezing"])
+    def test_agrees_with_reference_functions(self, rng, draw):
+        for _ in range(15):
+            p = random_params(rng, stiff=draw == "stiff")
+            if draw == "weak squeezing":
+                # nearly pure, weakly correlated pairs: the closed-form
+                # negativity is ill-conditioned there
+                p = p.replace(r=float(rng.choice([0.0, 1e-6, 1e-3])), temperature=0.0)
+            rep = full_report(p)
+            v = steady_state_cm(p)
+            for key, a, b in measures._PAIRS:
+                expected = log_negativity(reduce(v, [a, b]))
+                assert abs(rep.e_n[key] - expected) <= 1e-12
+            for mode in Mode:
+                expected = log_negativity_one_vs_two(v, mode)
+                assert abs(rep.e_n_one_vs_two[mode.label] - expected) <= 1e-12
+                expected = residual_contangle(v, mode)
+                assert abs(rep.residuals[mode.label] - expected) <= 1e-12
+            assert abs(rep.r_tau_min - min_residual_contangle(v)) <= 1e-12
+            for key, a, b in measures._STEERING_DIRECTIONS:
+                assert abs(rep.steering[key] - gaussian_steering(v, a, b)) <= 1e-12
+            for key, a, b in measures._PAIRS:
+                assert abs(rep.asymmetry[key] - steering_asymmetry(v, a, b)) <= 1e-12
+            assert abs(rep.nu_min - symplectic_eigenvalues(v)[0]) <= 1e-12
+
+    def test_every_reduced_state_is_physical(self, rng):
+        # full_report checks the Heisenberg bound on V alone; every one- and
+        # two-mode reduction of a solved V must satisfy it too
+        subsets = [list(c) for n in (1, 2) for c in itertools.combinations(Mode, n)]
+        for _ in range(30):
+            v = steady_state_cm(random_params(rng, stiff=True))
+            for modes in subsets:
+                assert symplectic_eigenvalues(reduce(v, modes)).min() >= 0.5 - 1e-9
+
+    def test_heisenberg_violation_is_refused(self, monkeypatch):
+        monkeypatch.setattr(
+            measures.steady_state, "solve_lyapunov", lambda m, d: 0.4 * np.eye(6)
+        )
+        with pytest.raises(PhysicalityError, match="Heisenberg.*at parameter point"):
+            full_report(default_params())

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import cavmag.sweep as sweep_mod
-from cavmag.errors import ValidationError
-from cavmag.measures import REPORT_COLUMNS
+from cavmag.errors import PhysicalityError, ValidationError
+from cavmag.measures import REPORT_COLUMNS, full_report
 from cavmag.model import default_params
 from cavmag.steady_state import StabilityReport
 from cavmag.sweep import (
@@ -142,6 +142,57 @@ class TestRunSweep:
         assert np.isnan(result.rows[0][1])
         assert result.rows[1][-1] is True
         assert result.rows[1][1] > 0.0
+
+    def test_stability_map_skips_the_steady_state(self, monkeypatch):
+        spec = with_resolution(figure_preset("fig8a"), (9, 9))
+
+        def expected_row(flat_index):
+            i, j = np.unravel_index(flat_index, spec.shape)
+            values = [float(ax.values()[k]) for ax, k in zip(spec.axes, (i, j))]
+            p = spec.base
+            for ax, value in zip(spec.axes, values):
+                p = apply_axis_value(p, ax.parameter, value)
+            flat = full_report(p).as_dict()
+            return values + [flat["lambda_max"], flat["stable"]]
+
+        expected = [expected_row(i) for i in range(spec.size)]
+
+        def refuse(params):
+            raise AssertionError("full_report called by a lambda_max-only sweep")
+
+        monkeypatch.setattr(sweep_mod, "full_report", refuse)
+        assert run_sweep(spec).rows == expected
+
+    def test_axis_values_built_once_per_sweep(self, monkeypatch):
+        calls = []
+        real_values = AxisSpec.values
+        monkeypatch.setattr(
+            AxisSpec, "values", lambda ax: calls.append(ax) or real_values(ax)
+        )
+        spec = with_resolution(figure_preset("fig4a"), (3, 4))
+        run_sweep(spec)
+        assert calls == list(spec.axes)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_point_failure_names_its_grid_location(self, monkeypatch, workers):
+        spec = SweepSpec(
+            base=default_params(),
+            axes=(AxisSpec("r", 0.0, 1.0, 3), AxisSpec("temperature", 0.0, 2.0, 3)),
+            quantities=("e_n_c1c2",),
+        )
+        real_report = sweep_mod.full_report
+
+        def fail_at_centre(params):
+            if params.r == 0.5 and params.temperature == 1.0:
+                raise PhysicalityError("synthetic failure")
+            return real_report(params)
+
+        monkeypatch.setattr(sweep_mod, "full_report", fail_at_centre)
+        with pytest.raises(PhysicalityError) as info:
+            run_sweep(spec, workers=workers)
+        message = str(info.value)
+        assert "synthetic failure" in message
+        assert "grid point 4, indices (1, 1): r = 0.5, temperature = 1.0" in message
 
     def test_progress_reported(self):
         calls = []
