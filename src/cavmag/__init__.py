@@ -11,7 +11,6 @@ over parameter grids.
 from .errors import (
     CavmagError,
     ConfigError,
-    DegenerateConfigurationError,
     DimensionError,
     DomainError,
     NumericalError,
@@ -44,10 +43,9 @@ from .model import (
     diffusion_matrix,
     drift_matrix,
     noise_moments,
-    steady_state_means,
     thermal_occupation,
 )
-from .numerics import eig_general, integrate_lyapunov_ode, kron, solve_linear
+from .numerics import eig_general, integrate_lyapunov_ode, solve_linear
 from .steady_state import StabilityReport, solve_lyapunov, stability
 from .sweep import (
     AxisSpec,
@@ -69,7 +67,6 @@ __all__ = [
     "CavmagError",
     "ConfigError",
     "CorrelationReport",
-    "DegenerateConfigurationError",
     "DimensionError",
     "DomainError",
     "FIGURE_IDS",
@@ -95,7 +92,6 @@ __all__ = [
     "full_report",
     "gaussian_steering",
     "integrate_lyapunov_ode",
-    "kron",
     "log_negativity",
     "log_negativity_one_vs_two",
     "min_residual_contangle",
@@ -107,7 +103,6 @@ __all__ = [
     "solve_linear",
     "solve_lyapunov",
     "stability",
-    "steady_state_means",
     "steering_asymmetry",
     "symplectic_eigenvalues",
     "symplectic_form",

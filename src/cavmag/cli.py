@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import sweep as sweep_mod
 from .errors import CavmagError, ConfigError, ValidationError
@@ -214,12 +215,15 @@ def _collect_settings(args) -> tuple[dict, dict]:
     return params, run
 
 
-def _run_settings(run: dict, default_out: str):
-    out = run.get("out", default_out)
+def _run_settings(run: dict, label: str):
     fmt = run.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    workers = int(run.get("workers", 1))
+    out = run.get("out", f"{label}.{fmt}")
+    try:
+        workers = int(run.get("workers", 1))
+    except ValueError:
+        raise ConfigError(f"workers must be an integer, got {run['workers']!r}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = _parse_grid(run["grid"]) if "grid" in run else None
@@ -230,13 +234,6 @@ def _progress_printer(label: str):
     def advance(done, total):
         print(f"{label}: {done}/{total} points", file=sys.stderr, flush=True)
     return advance
-
-
-def _write_result(result, out, fmt):
-    if fmt == "json":
-        write_json(result, out)
-    else:
-        write_csv(result, out)
 
 
 def _print_summary(result, label: str):
@@ -296,54 +293,36 @@ def _load_sweep_spec(path: str, params_over: dict) -> SweepSpec:
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed sweep spec: {exc}")
         if params_over:
-            spec = SweepSpec(
-                base=resolve_params(params_over, base=spec.base),
-                axes=spec.axes,
-                quantities=spec.quantities,
-                description=spec.description,
-            )
+            spec = replace(spec, base=resolve_params(params_over, base=spec.base))
     return spec
+
+
+def _run_grid(spec: SweepSpec, run: dict, label: str) -> int:
+    """Shared tail of the grid commands: resolution, sweep, output, summary."""
+    out, fmt, workers, grid = _run_settings(run, label)
+    if grid is not None:
+        spec = with_resolution(spec, grid)
+    result = run_sweep(spec, workers=workers, progress=_progress_printer(label))
+    (write_json if fmt == "json" else write_csv)(result, out)
+    _print_summary(result, label)
+    print(f"{label}: wrote {len(result.rows)} rows to {out}", file=sys.stderr)
+    return 0
 
 
 def cmd_sweep(args) -> int:
     params_over, run = _collect_settings(args)
-    out, fmt, workers, grid = _run_settings(run, "sweep." + run.get("format", "csv"))
-    spec = _load_sweep_spec(args.spec_file, params_over)
-    if grid is not None:
-        spec = with_resolution(spec, grid)
-    result = run_sweep(spec, workers=workers, progress=_progress_printer("sweep"))
-    _write_result(result, out, fmt)
-    print(f"sweep: wrote {len(result.rows)} rows to {out}", file=sys.stderr)
-    return 0
+    return _run_grid(_load_sweep_spec(args.spec_file, params_over), run, "sweep")
 
 
 def cmd_figure(args) -> int:
     params_over, run = _collect_settings(args)
-    if args.figure_id not in FIGURE_IDS:
-        print(
-            f"unknown figure id {args.figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}",
-            file=sys.stderr,
-        )
-        return 1
     base = resolve_params(params_over) if params_over else None
-    spec = figure_preset(args.figure_id, base=base)
-    out, fmt, workers, grid = _run_settings(
-        run, f"{args.figure_id}.{run.get('format', 'csv')}"
-    )
-    if grid is not None:
-        spec = with_resolution(spec, grid)
-    result = run_sweep(spec, workers=workers, progress=_progress_printer(args.figure_id))
-    _write_result(result, out, fmt)
-    _print_summary(result, args.figure_id)
-    print(f"{args.figure_id}: wrote {len(result.rows)} rows to {out}", file=sys.stderr)
-    return 0
+    return _run_grid(figure_preset(args.figure_id, base=base), run, args.figure_id)
 
 
 def cmd_stability(args) -> int:
     params_over, run = _collect_settings(args)
     axes_names = [a.strip() for a in args.axes.split(",") if a.strip()]
-    if not 1 <= len(axes_names) <= 2:
-        raise ConfigError(f"expected 1 or 2 axes, got {args.axes!r}")
     lo, sep, hi = args.window.partition(":")
     if not sep:
         raise ConfigError(f"window must be lo:hi, got {args.window!r}")
@@ -351,26 +330,17 @@ def cmd_stability(args) -> int:
         lo, hi = float(lo), float(hi)
     except ValueError:
         raise ConfigError(f"cannot parse window {args.window!r}")
-    out, fmt, workers, grid = _run_settings(run, f"stability.{run.get('format', 'csv')}")
-    if grid is not None and len(grid) != len(axes_names):
-        raise ConfigError(f"grid {run['grid']!r} does not match {len(axes_names)} axes")
-    count = grid if grid is not None else [
+    count = (
         sweep_mod.DEFAULT_COUNT_1D if len(axes_names) == 1 else sweep_mod.DEFAULT_COUNT_2D
-    ] * len(axes_names)
-    base = resolve_params(params_over)
+    )
     spec = SweepSpec(
-        base=base,
-        axes=tuple(
-            AxisSpec(parameter=name, start=lo, stop=hi, count=int(c))
-            for name, c in zip(axes_names, count)
-        ),
+        base=resolve_params(params_over),
+        axes=tuple(AxisSpec(parameter=name, start=lo, stop=hi, count=count)
+                   for name in axes_names),
         quantities=("lambda_max",),
         description=f"stability scan over {', '.join(axes_names)}",
     )
-    result = run_sweep(spec, workers=workers, progress=_progress_printer("stability"))
-    _write_result(result, out, fmt)
-    _print_summary(result, "stability")
-    return 0
+    return _run_grid(spec, run, "stability")
 
 
 def main(argv=None) -> int:

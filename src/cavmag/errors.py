@@ -29,10 +29,6 @@ class StabilityError(CavmagError):
     """The drift matrix is not Hurwitz stable, so no steady state exists."""
 
 
-class DegenerateConfigurationError(CavmagError):
-    """The mean-field coefficient matrix is singular for these parameters."""
-
-
 class PhysicalityError(CavmagError):
     """A covariance matrix violates the Heisenberg bound."""
 

@@ -114,9 +114,6 @@ def reduce(v, modes) -> np.ndarray:
     return v[np.ix_(sel, sel)]
 
 
-_OMEGA_CACHE = {1: symplectic_form(1), 2: OMEGA_2, 3: OMEGA_3}
-
-
 def symplectic_eigenvalues(v) -> np.ndarray:
     """Symplectic spectrum of a CM, ascending.
 
@@ -124,11 +121,7 @@ def symplectic_eigenvalues(v) -> np.ndarray:
     imaginary parts, which avoids complex-matrix machinery.
     """
     v = np.asarray(v, dtype=float)
-    n = v.shape[0] // 2
-    omega = _OMEGA_CACHE.get(n)
-    if omega is None:
-        omega = symplectic_form(n)
-    ev = np.linalg.eigvals(omega @ v)
+    ev = np.linalg.eigvals(symplectic_form(v.shape[0] // 2) @ v)
     return np.sort(np.abs(ev.imag))[1::2]
 
 
@@ -188,17 +181,18 @@ def residual_contangle(v, focus) -> float:
     return one_vs_two**2 - pairwise[0] ** 2 - pairwise[1] ** 2
 
 
+def _clamp_residual(smallest: float) -> float:
+    # zero within numerical noise clamps to zero; a real negative passes raw
+    return smallest if smallest < RESIDUAL_FLOOR else max(0.0, smallest)
+
+
 def min_residual_contangle(v) -> float:
     """Minimum residual contangle over the three one-vs-two splits.
 
     Clamped at zero when all three residuals are zero to within numerical
     noise; a genuinely negative residual is passed through raw.
     """
-    residuals = [residual_contangle(v, focus) for focus in Mode]
-    smallest = min(residuals)
-    if smallest < RESIDUAL_FLOOR:
-        return smallest
-    return max(0.0, smallest)
+    return _clamp_residual(min(residual_contangle(v, focus) for focus in Mode))
 
 
 def _require_positive_det(det_value: float, context: str):
@@ -416,8 +410,6 @@ def full_report(p: PhysicalParams) -> CorrelationReport:
             - sum(e_n[key] ** 2 for key in _PAIR_KEYS_OF[mode])
             for mode in Mode
         }
-        smallest = min(residuals.values())
-        r_tau_min = smallest if smallest < RESIDUAL_FLOOR else max(0.0, smallest)
         steering = {key: value for (key, _, _), value in zip(_STEERING_DIRECTIONS, zeta)}
         asymmetry = {
             "c1c2": abs(steering["c1|c2"] - steering["c2|c1"]),
@@ -430,7 +422,7 @@ def full_report(p: PhysicalParams) -> CorrelationReport:
             e_n=e_n,
             e_n_one_vs_two=one_vs_two,
             residuals=residuals,
-            r_tau_min=r_tau_min,
+            r_tau_min=_clamp_residual(min(residuals.values())),
             steering=steering,
             asymmetry=asymmetry,
             nu_min=nu_min,

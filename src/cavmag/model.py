@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, DomainError
+from .errors import DomainError
 
 # CODATA-2018 values.
 HBAR = 1.054571817e-34  # J s
@@ -183,23 +183,3 @@ def diffusion_matrix(p: PhysicalParams) -> np.ndarray:
     d[2, 4] = d[4, 2] = cross
     d[3, 5] = d[5, 3] = -cross
     return d
-
-
-def steady_state_means(p: PhysicalParams) -> np.ndarray:
-    """Steady-state mean amplitudes (<m>, <c1>, <c2>).
-
-    The squeezed vacuum drive has zero mean, so the mean-field equations are
-    homogeneous and the unique fixed point is zero whenever the coefficient
-    matrix is nonsingular (guaranteed for positive decay rates).
-    """
-    a = np.array([
-        [p.kappa_m + 1j * p.delta_m, 1j * p.gamma_1, 1j * p.gamma_2],
-        [1j * p.gamma_1, p.kappa_1 + 1j * p.delta_1, 0.0],
-        [1j * p.gamma_2, 0.0, p.kappa_2 + 1j * p.delta_2],
-    ])
-    scale = np.linalg.norm(a, np.inf)
-    if abs(np.linalg.det(a)) <= 1e-14 * scale**3:
-        raise DegenerateConfigurationError(
-            "mean-field coefficient matrix is singular for these parameters"
-        )
-    return np.zeros(3, dtype=complex)

@@ -30,17 +30,12 @@ SINGULAR_PIVOT_RTOL = 1e-14
 MAX_STABLE_STEP = 0.1
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_square(a, name: str = "matrix") -> np.ndarray:
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise DomainError(f"{name} contains non-finite entries")
-    return out
-
-
-def _as_square(a, name: str = "matrix") -> np.ndarray:
-    out = _as_matrix(a, name)
     if out.shape[0] != out.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {out.shape}")
     return out
@@ -81,11 +76,6 @@ def solve_linear(a, b) -> np.ndarray:
             f"matrix is singular to working precision (pivot {min_pivot:.3e}, norm {scale:.3e})"
         )
     return lu_solve((lu, piv), rhs, check_finite=False)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two real matrices."""
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
 
 
 def integrate_lyapunov_ode(m, d, t_end: float, dt: float) -> np.ndarray:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import numbers
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,17 +24,18 @@ from .errors import CavmagError, ValidationError
 from .measures import REPORT_COLUMNS, full_report
 from .model import PhysicalParams, default_params
 
-# Axis parameters and the unit their grid values are expressed in. Detunings
-# are given in multiples of kappa_c (= kappa_1 of the base configuration);
-# the ratio axes vary the second cavity against a fixed first one.
-AXIS_UNITS = {
-    "delta_1": "kappa_c",
-    "delta_2": "kappa_c",
-    "delta_m": "kappa_c",
-    "r": "dimensionless",
-    "temperature": "K",
-    "gamma_ratio": "gamma_2/gamma_1",
-    "kappa_ratio": "kappa_2/kappa_1",
+# Each axis parameter: the PhysicalParams field it sets, and the base field
+# its grid value multiplies (None for a plain value). Detunings are given in
+# multiples of kappa_c (= kappa_1 of the base configuration); the ratio axes
+# vary the second cavity against a fixed first one.
+AXES = {
+    "delta_1": ("delta_1", "kappa_1"),
+    "delta_2": ("delta_2", "kappa_1"),
+    "delta_m": ("delta_m", "kappa_1"),
+    "r": ("r", None),
+    "temperature": ("temperature", None),
+    "gamma_ratio": ("gamma_2", "gamma_1"),
+    "kappa_ratio": ("kappa_2", "kappa_1"),
 }
 
 DEFAULT_COUNT_1D = 401
@@ -69,11 +71,13 @@ class SweepSpec:
         if not 1 <= len(self.axes) <= 2:
             problems.append(f"axes: expected 1 or 2 axes, got {len(self.axes)}")
         for ax in self.axes:
-            if ax.parameter not in AXIS_UNITS:
+            if ax.parameter not in AXES:
                 problems.append(
-                    f"axes.parameter: {ax.parameter!r} not one of {sorted(AXIS_UNITS)}"
+                    f"axes.parameter: {ax.parameter!r} not one of {sorted(AXES)}"
                 )
-            if not ax.count >= 2:
+            if isinstance(ax.count, bool) or not isinstance(ax.count, numbers.Integral):
+                problems.append(f"axes.count: must be an integer, got {ax.count!r}")
+            elif not ax.count >= 2:
                 problems.append(f"axes.count: must be >= 2, got {ax.count}")
             if not ax.start < ax.stop:
                 problems.append(
@@ -103,21 +107,13 @@ class SweepSpec:
         return tuple(ax.parameter for ax in self.axes) + self.quantities + ("stable",)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SweepResult:
     """Row-major grid of axis values, requested quantities and stability."""
 
     spec: SweepSpec
     columns: tuple
     rows: list
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SweepResult)
-            and self.spec == other.spec
-            and self.columns == other.columns
-            and self.rows == other.rows
-        )
 
     def column(self, name: str) -> np.ndarray:
         """One column as a float array (stable flag as 0/1)."""
@@ -131,22 +127,10 @@ class SweepResult:
 
 def apply_axis_value(base: PhysicalParams, parameter: str, value: float) -> PhysicalParams:
     """Base parameters with one axis coordinate applied (axis units resolved)."""
-    kappa_c = base.kappa_c
-    if parameter == "delta_1":
-        return base.replace(delta_1=value * kappa_c)
-    if parameter == "delta_2":
-        return base.replace(delta_2=value * kappa_c)
-    if parameter == "delta_m":
-        return base.replace(delta_m=value * kappa_c)
-    if parameter == "r":
-        return base.replace(r=value)
-    if parameter == "temperature":
-        return base.replace(temperature=value)
-    if parameter == "gamma_ratio":
-        return base.replace(gamma_2=value * base.gamma_1)
-    if parameter == "kappa_ratio":
-        return base.replace(kappa_2=value * base.kappa_1)
-    raise ValidationError(f"unknown axis parameter {parameter!r}")
+    if parameter not in AXES:
+        raise ValidationError(f"unknown axis parameter {parameter!r}")
+    field, scale = AXES[parameter]
+    return base.replace(**{field: value if scale is None else value * getattr(base, scale)})
 
 
 def _evaluate_index(spec: SweepSpec, axis_values, flat_index: int) -> list:
@@ -170,44 +154,40 @@ def _evaluate_index(spec: SweepSpec, axis_values, flat_index: int) -> list:
 
 
 def _evaluate_range(args) -> list:
-    spec, lo, hi = args
-    axis_values = [ax.values() for ax in spec.axes]
+    spec, axis_values, lo, hi = args
     return [_evaluate_index(spec, axis_values, i) for i in range(lo, hi)]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     """Evaluate the sweep grid, optionally across worker processes.
 
-    Unstable grid points are flagged in the final column and their measures
-    are NaN; they never abort the sweep. Any other CavmagError at a point
-    aborts it, re-raised with its type and the point's flat index, grid
-    indices and axis values. A sweep of lambda_max alone evaluates only the
-    drift spectrum. The result is independent of the worker count.
+    The grid is split into row-major chunks, evaluated in turn or by a pool
+    of workers; progress(done, total) is called after each chunk. Unstable
+    grid points are flagged in the final column and their measures are NaN;
+    they never abort the sweep. Any other CavmagError at a point aborts it,
+    re-raised with its type and the point's flat index, grid indices and
+    axis values. A sweep of lambda_max alone evaluates only the drift
+    spectrum. The result is independent of the worker count.
     """
     total = spec.size
+    axis_values = [ax.values() for ax in spec.axes]
+    n_chunks = min(total, max(workers, 1) * 8)
+    bounds = [total * k // n_chunks for k in range(n_chunks + 1)]
+    tasks = [(spec, axis_values, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     rows = []
+
+    def collect(chunks):
+        for chunk in chunks:
+            rows.extend(chunk)
+            if progress is not None:
+                progress(len(rows), total)
+
     if workers <= 1:
-        axis_values = [ax.values() for ax in spec.axes]
-        for i in range(total):
-            rows.append(_evaluate_index(spec, axis_values, i))
-            if progress is not None and (i + 1) % 1000 == 0:
-                progress(i + 1, total)
+        collect(map(_evaluate_range, tasks))
     else:
-        n_chunks = min(total, workers * 8)
-        bounds = np.linspace(0, total, n_chunks + 1).astype(int)
-        tasks = [
-            (spec, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        done = 0
         with multiprocessing.Pool(processes=workers) as pool:
             try:
-                for chunk in pool.imap(_evaluate_range, tasks):
-                    rows.extend(chunk)
-                    done += len(chunk)
-                    if progress is not None:
-                        progress(done, total)
+                collect(pool.imap(_evaluate_range, tasks))
             except CavmagError:
                 # let the workers finish before the pool is torn down: one
                 # terminated while writing a result keeps the result queue's
@@ -215,8 +195,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
                 pool.close()
                 pool.join()
                 raise
-    if progress is not None:
-        progress(total, total)
     return SweepResult(spec=spec, columns=spec.columns, rows=rows)
 
 
@@ -426,10 +404,7 @@ def with_resolution(spec: SweepSpec, counts) -> SweepSpec:
             f"expected {len(spec.axes)} axis counts, got {len(counts)}"
         )
     axes = tuple(replace(ax, count=int(c)) for ax, c in zip(spec.axes, counts))
-    return SweepSpec(
-        base=spec.base, axes=axes, quantities=spec.quantities,
-        description=spec.description,
-    )
+    return replace(spec, axes=axes)
 
 
 # ---------------------------------------------------------------------------
@@ -467,22 +442,8 @@ def write_csv(result: SweepResult, destination) -> None:
 
 def _spec_to_dict(spec: SweepSpec) -> dict:
     return {
-        "base": {
-            name: getattr(spec.base, name)
-            for name in (
-                "kappa_1", "kappa_2", "kappa_m", "gamma_1", "gamma_2",
-                "delta_1", "delta_2", "delta_m", "r", "omega_m", "temperature",
-            )
-        },
-        "axes": [
-            {
-                "parameter": ax.parameter,
-                "start": ax.start,
-                "stop": ax.stop,
-                "count": ax.count,
-            }
-            for ax in spec.axes
-        ],
+        "base": asdict(spec.base),
+        "axes": [asdict(ax) for ax in spec.axes],
         "quantities": list(spec.quantities),
         "description": spec.description,
     }

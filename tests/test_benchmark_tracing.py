@@ -1,0 +1,28 @@
+"""The benchmark tracer rebinds named attributes of cavmag's modules; each
+must exist, or a traced benchmark run fails before it times anything."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_tracing()
+
+
+@pytest.mark.parametrize(
+    "owner, attr",
+    [(owner, attr) for owner, attr, _ in tracing.SPANNED + tracing.COUNTED],
+    ids=lambda value: value if isinstance(value, str) else value.__name__,
+)
+def test_traced_attribute_exists(owner, attr):
+    assert callable(getattr(owner, attr))

@@ -72,6 +72,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="run.cfg:2"):
             parse_config_file(str(cfg))
 
+    def test_non_integer_workers_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = two\n", encoding="utf-8")
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "figure", "fig7a", "--grid", "5",
+                               "--config", str(cfg), "--out", str(out_path))
+        assert code == 1
+        assert "workers must be an integer, got 'two'" in err
+        assert not out_path.exists()
+
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just words\n", encoding="utf-8")
@@ -170,6 +180,19 @@ class TestSweepCommand:
         assert code == 0
         assert out_sweep.read_bytes() == out_figure.read_bytes()
 
+    def test_fractional_axis_count_exits_1(self, capsys, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "base": {"kappa_1": 1e7, "kappa_2": 1e7, "kappa_m": 1e6},
+            "axes": [{"parameter": "r", "start": 0.0, "stop": 1.0, "count": 3.5}],
+            "quantities": ["e_n_c1c2"],
+        }), encoding="utf-8")
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "sweep", str(spec_path), "--out", str(out_path))
+        assert code == 1
+        assert "axes.count: must be an integer, got 3.5" in err
+        assert not out_path.exists()
+
     def test_unparseable_spec_exits_1(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("{not json", encoding="utf-8")
@@ -255,6 +278,36 @@ class TestStabilityCommand:
     def test_bad_window_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "stability", "--window", "oops")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--grid", "9"), "expected 2 axis counts, got 1"),
+        (("--axes", "delta_1,delta_2,delta_m"), "expected 1 or 2 axes, got 3"),
+    ])
+    def test_axes_grid_mismatch_exits_1(self, capsys, tmp_path, argv, message):
+        out_path = tmp_path / "stability.csv"
+        code, _, err = run_cli(capsys, "stability", *argv, "--out", str(out_path))
+        assert code == 1
+        assert message in err
+        assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command, label", [
+    (("figure", "fig7a", "--grid", "5"), "fig7a"),
+    (("stability", "--axes", "delta_m", "--grid", "5"), "stability"),
+    (("sweep", "SPEC", "--grid", "5"), "sweep"),
+])
+def test_grid_commands_share_their_stderr_tail(capsys, tmp_path, command, label):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"preset": "fig7a"}), encoding="utf-8")
+    out_path = tmp_path / "out.csv"
+    argv = [str(spec_path) if arg == "SPEC" else arg for arg in command]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert out == ""
+    lines = err.strip().split("\n")
+    assert lines[-3] == f"{label}: 5/5 points"
+    assert lines[-2].startswith(f"{label}: ") and "argmax at (" in lines[-2]
+    assert lines[-1] == f"{label}: wrote 5 rows to {out_path}"
 
 
 class TestUsageErrors:

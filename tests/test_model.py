@@ -9,7 +9,6 @@ from cavmag.model import (
     diffusion_matrix,
     drift_matrix,
     noise_moments,
-    steady_state_means,
     thermal_occupation,
 )
 from conftest import KAPPA_C, random_params
@@ -197,20 +196,3 @@ class TestDiffusionMatrix:
                 SWAP @ diffusion_matrix(p) @ SWAP.T, diffusion_matrix(p.swapped())
             )
 
-
-class TestSteadyStateMeans:
-    def test_zero_mean_drive(self, rng):
-        assert np.array_equal(steady_state_means(default_params()), np.zeros(3))
-        for _ in range(10):
-            means = steady_state_means(random_params(rng))
-            assert np.array_equal(means, np.zeros(3))
-
-    def test_means_satisfy_fixed_point_equations(self, rng):
-        p = random_params(rng)
-        m_mean, c1_mean, c2_mean = steady_state_means(p)
-        lhs_c1 = (p.kappa_1 + 1j * p.delta_1) * c1_mean + 1j * p.gamma_1 * m_mean
-        lhs_c2 = (p.kappa_2 + 1j * p.delta_2) * c2_mean + 1j * p.gamma_2 * m_mean
-        lhs_m = (p.kappa_m + 1j * p.delta_m) * m_mean + 1j * (
-            p.gamma_1 * c1_mean + p.gamma_2 * c2_mean
-        )
-        assert lhs_c1 == 0.0 and lhs_c2 == 0.0 and lhs_m == 0.0

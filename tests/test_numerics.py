@@ -8,7 +8,7 @@ from cavmag.errors import (
     StabilityError,
     StepSizeError,
 )
-from cavmag.numerics import eig_general, integrate_lyapunov_ode, kron, solve_linear
+from cavmag.numerics import eig_general, integrate_lyapunov_ode, solve_linear
 
 
 class TestEigGeneral:
@@ -82,29 +82,6 @@ class TestSolveLinear:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             solve_linear(np.eye(3), np.ones(4))
-
-
-class TestKron:
-    def test_identity_product(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_upper_right_block_structure(self):
-        shift = np.array([[0.0, 1.0], [0.0, 0.0]])
-        out = kron(shift, np.eye(2))
-        assert np.count_nonzero(out) == 2
-        assert np.array_equal(out[0:2, 2:4], np.eye(2))
-
-    def test_shape_contract(self, rng):
-        a = rng.normal(size=(2, 3))
-        b = rng.normal(size=(4, 5))
-        assert kron(a, b).shape == (8, 15)
-
-    def test_mixed_product_property(self, rng):
-        for _ in range(20):
-            a, b, c, d = (rng.normal(size=(2, 2)) for _ in range(4))
-            left = kron(a, b) @ kron(c, d)
-            right = kron(a @ c, b @ d)
-            assert np.allclose(left, right, atol=1e-12)
 
 
 class TestIntegrateLyapunovOde:

@@ -54,6 +54,14 @@ class TestSpecValidation:
         for fragment in ("bogus", "count", "start", "distinct", "nope", "1 or 2"):
             assert fragment in message
 
+    @pytest.mark.parametrize("count", [3.5, 3.0, True, "3"])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(ValidationError, match="axes.count: must be an integer"):
+            small_spec(axes=(AxisSpec("r", 0.0, 1.0, count),))
+
+    def test_numpy_integer_count_accepted(self):
+        assert small_spec(axes=(AxisSpec("r", 0.0, 1.0, np.int64(3)),)).size == 3
+
     def test_empty_quantities_rejected(self):
         with pytest.raises(ValidationError):
             small_spec(quantities=())
@@ -82,6 +90,10 @@ class TestAxisApplication:
     def test_plain_axes(self):
         assert apply_axis_value(default_params(), "r", 0.7).r == 0.7
         assert apply_axis_value(default_params(), "temperature", 0.3).temperature == 0.3
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ValidationError, match="bogus"):
+            apply_axis_value(default_params(), "bogus", 1.0)
 
 
 class TestRunSweep:
@@ -170,8 +182,10 @@ class TestRunSweep:
             AxisSpec, "values", lambda ax: calls.append(ax) or real_values(ax)
         )
         spec = with_resolution(figure_preset("fig4a"), (3, 4))
-        run_sweep(spec)
-        assert calls == list(spec.axes)
+        for workers in (1, 2):
+            calls.clear()
+            run_sweep(spec, workers=workers)
+            assert calls == list(spec.axes), workers
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_point_failure_names_its_grid_location(self, monkeypatch, workers):
@@ -195,9 +209,15 @@ class TestRunSweep:
         assert "grid point 4, indices (1, 1): r = 0.5, temperature = 1.0" in message
 
     def test_progress_reported(self):
-        calls = []
-        run_sweep(small_spec(), progress=lambda done, total: calls.append((done, total)))
-        assert calls[-1] == (2, 2)
+        spec = with_resolution(figure_preset("fig4a"), (3, 4))
+        for workers in (1, 2):
+            calls = []
+            run_sweep(spec, workers=workers,
+                      progress=lambda done, total: calls.append((done, total)))
+            done = [d for d, _ in calls]
+            assert all(a < b for a, b in zip(done, done[1:])), (workers, calls)
+            assert all(total == 12 for _, total in calls), (workers, calls)
+            assert calls[-1] == (12, 12), (workers, calls)
 
 
 class TestFigurePresets:
