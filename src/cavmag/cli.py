@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 
 from . import sweep as sweep_mod
-from .errors import CavmagError, ConfigError, ValidationError
+from .errors import CavmagError, ConfigError, StabilityError, ValidationError
 from .measures import full_report
 from .model import TWO_PI, PhysicalParams, default_params
 from .sweep import (
@@ -271,7 +271,7 @@ def cmd_point(args) -> int:
         "nu_min": report.nu_min,
     }
     print(json.dumps(payload, indent=1))
-    return 0 if report.stable else 2
+    return 0
 
 
 def _load_sweep_spec(path: str, params_over: dict) -> SweepSpec:
@@ -363,6 +363,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except StabilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CavmagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,12 +14,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import model, steady_state
-from .errors import CavmagError, DomainError, PhysicalityError
+from .errors import CavmagError, DomainError, NumericalError, PhysicalityError
 from .model import PhysicalParams
 from .steady_state import StabilityReport
 
@@ -270,57 +269,49 @@ REPORT_COLUMNS = (
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Every scalar measure at one parameter point.
-
-    For an unstable drift matrix only the stability assessment is filled in;
-    the measure fields are None and serialize as NaN.
-    """
+    """Every scalar measure at one parameter point."""
 
     params: PhysicalParams
     stability: StabilityReport
-    e_n: Optional[dict] = None
-    e_n_one_vs_two: Optional[dict] = None
-    residuals: Optional[dict] = None
-    r_tau_min: Optional[float] = None
-    steering: Optional[dict] = None
-    asymmetry: Optional[dict] = None
-    nu_min: Optional[float] = None
+    e_n: dict
+    e_n_one_vs_two: dict
+    residuals: dict
+    r_tau_min: float
+    steering: dict
+    asymmetry: dict
+    nu_min: float
 
     @property
     def stable(self) -> bool:
         return self.stability.stable
 
     def as_dict(self) -> dict:
-        """Flatten to the canonical column layout (NaN where unavailable)."""
-        nan = float("nan")
-        out = dict.fromkeys(REPORT_COLUMNS, nan)
-        out["lambda_max"] = self.stability.max_real_part
-        if self.stable:
-            out.update({
-                "e_n_c1c2": self.e_n["c1c2"],
-                "e_n_mc1": self.e_n["mc1"],
-                "e_n_mc2": self.e_n["mc2"],
-                "e_n_mc_max": max(self.e_n["mc1"], self.e_n["mc2"]),
-                "e_n_m_vs_c1c2": self.e_n_one_vs_two["m"],
-                "e_n_c1_vs_mc2": self.e_n_one_vs_two["c1"],
-                "e_n_c2_vs_mc1": self.e_n_one_vs_two["c2"],
-                "r_tau_m": self.residuals["m"],
-                "r_tau_c1": self.residuals["c1"],
-                "r_tau_c2": self.residuals["c2"],
-                "r_tau_min": self.r_tau_min,
-                "zeta_c1_c2": self.steering["c1|c2"],
-                "zeta_c2_c1": self.steering["c2|c1"],
-                "zeta_m_c1": self.steering["m|c1"],
-                "zeta_c1_m": self.steering["c1|m"],
-                "zeta_m_c2": self.steering["m|c2"],
-                "zeta_c2_m": self.steering["c2|m"],
-                "zeta_s_c1c2": self.asymmetry["c1c2"],
-                "zeta_s_mc1": self.asymmetry["mc1"],
-                "zeta_s_mc2": self.asymmetry["mc2"],
-                "nu_min": self.nu_min,
-            })
-        out["stable"] = self.stable
-        return out
+        """Flatten to the canonical column layout, plus the stable flag."""
+        return {
+            "e_n_c1c2": self.e_n["c1c2"],
+            "e_n_mc1": self.e_n["mc1"],
+            "e_n_mc2": self.e_n["mc2"],
+            "e_n_mc_max": max(self.e_n["mc1"], self.e_n["mc2"]),
+            "e_n_m_vs_c1c2": self.e_n_one_vs_two["m"],
+            "e_n_c1_vs_mc2": self.e_n_one_vs_two["c1"],
+            "e_n_c2_vs_mc1": self.e_n_one_vs_two["c2"],
+            "r_tau_m": self.residuals["m"],
+            "r_tau_c1": self.residuals["c1"],
+            "r_tau_c2": self.residuals["c2"],
+            "r_tau_min": self.r_tau_min,
+            "zeta_c1_c2": self.steering["c1|c2"],
+            "zeta_c2_c1": self.steering["c2|c1"],
+            "zeta_m_c1": self.steering["m|c1"],
+            "zeta_c1_m": self.steering["c1|m"],
+            "zeta_m_c2": self.steering["m|c2"],
+            "zeta_c2_m": self.steering["c2|m"],
+            "zeta_s_c1c2": self.asymmetry["c1c2"],
+            "zeta_s_mc1": self.asymmetry["mc1"],
+            "zeta_s_mc2": self.asymmetry["mc2"],
+            "nu_min": self.nu_min,
+            "lambda_max": self.stability.max_real_part,
+            "stable": self.stable,
+        }
 
 
 # Stacked sign masks for the batched spectra of full_report: all ones (the
@@ -389,7 +380,12 @@ def _measures(v):
         0.0,
         0.5 * np.log(det_blocks[_STEERER, _STEERER] / (4.0 * det_pairs[_DIRECTION_PAIR])),
     )
-    return nu_min, e_n_pairs.tolist(), e_n_one_vs_two.tolist(), steering.tolist()
+    e_n_pairs, e_n_split, zeta = e_n_pairs.tolist(), e_n_one_vs_two.tolist(), steering.tolist()
+    # at large r (r = 10) a partially transposed eigenvalue sinks below the
+    # rounding error of V and can come out as zero: an infinite negativity
+    if not all(map(math.isfinite, e_n_pairs + e_n_split + zeta)):
+        raise NumericalError("a correlation measure is not finite")
+    return nu_min, e_n_pairs, e_n_split, zeta
 
 
 def full_report(p: PhysicalParams) -> CorrelationReport:
@@ -397,8 +393,6 @@ def full_report(p: PhysicalParams) -> CorrelationReport:
     try:
         m = model.drift_matrix(p)
         report = steady_state.stability(m)
-        if not report.stable:
-            return CorrelationReport(params=p, stability=report)
         d = model.diffusion_matrix(p)
         v = steady_state.solve_lyapunov(m, d)
         nu_min, e_n_pairs, e_n_split, zeta = _measures(v)

@@ -128,7 +128,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise DomainError(f"omega must be positive, got {omega}")
     if temperature < 0.0:
         raise DomainError(f"temperature must be non-negative, got {temperature}")
-    if temperature == 0.0:
+    if K_B * temperature == 0.0:  # T = 0, or a T so small that k_B T underflows
         return 0.0
     x = HBAR * omega / (K_B * temperature)
     if x > 700.0:  # exp would overflow; occupation is numerically zero

@@ -93,6 +93,8 @@ class SweepSpec:
             problems.append("quantities: at least one quantity is required")
         if problems:
             raise ValidationError("invalid sweep spec: " + "; ".join(problems))
+        # a numpy integer count would reach json.dumps in write_json
+        object.__setattr__(self, "axes", tuple(replace(a, count=int(a.count)) for a in self.axes))
 
     @property
     def shape(self) -> tuple:
@@ -162,12 +164,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     """Evaluate the sweep grid, optionally across worker processes.
 
     The grid is split into row-major chunks, evaluated in turn or by a pool
-    of workers; progress(done, total) is called after each chunk. Unstable
-    grid points are flagged in the final column and their measures are NaN;
-    they never abort the sweep. Any other CavmagError at a point aborts it,
-    re-raised with its type and the point's flat index, grid indices and
-    axis values. A sweep of lambda_max alone evaluates only the drift
-    spectrum. The result is independent of the worker count.
+    of workers; progress(done, total) is called after each chunk. A
+    CavmagError at a point, a drift that is not Hurwitz stable included,
+    aborts the sweep, re-raised with its type and the point's flat index,
+    grid indices and axis values. A sweep of lambda_max alone evaluates only
+    the drift spectrum and reports the stable flag it computes. The result
+    is independent of the worker count.
     """
     total = spec.size
     axis_values = [ax.values() for ax in spec.axes]
@@ -460,28 +462,14 @@ def spec_from_dict(data: dict) -> SweepSpec:
     )
 
 
-def _row_to_json(row) -> list:
-    return [
-        cell if isinstance(cell, bool) else (None if math.isnan(cell) else cell)
-        for cell in row
-    ]
-
-
-def _row_from_json(row) -> list:
-    return [
-        cell if isinstance(cell, bool) else (float("nan") if cell is None else float(cell))
-        for cell in row
-    ]
-
-
 def write_json(result: SweepResult, destination) -> None:
-    """Lossless JSON grid: {spec, columns, rows}; NaN cells map to null."""
+    """Lossless JSON grid: {spec, columns, rows}; a non-finite cell raises."""
     payload = {
         "spec": _spec_to_dict(result.spec),
         "columns": list(result.columns),
-        "rows": [_row_to_json(row) for row in result.rows],
+        "rows": result.rows,
     }
-    _atomic_write(destination, json.dumps(payload, indent=1) + "\n")
+    _atomic_write(destination, json.dumps(payload, indent=1, allow_nan=False) + "\n")
 
 
 def read_json(source) -> SweepResult:
@@ -492,5 +480,5 @@ def read_json(source) -> SweepResult:
     return SweepResult(
         spec=spec,
         columns=tuple(payload["columns"]),
-        rows=[_row_from_json(row) for row in payload["rows"]],
+        rows=payload["rows"],
     )

@@ -7,6 +7,11 @@ full_report (13 eigen-solves per point), before full_report took its measures
 from block invariants and one batched spectrum. tests/test_measures.py checks
 every column of the current full_report against it at 1e-12. Running this
 script again overwrites that reference with the current code's values.
+
+The stored file's last entry, "forced unstable", predates full_report
+refusing an unstable drift: it was written with the drift spectrum faked
+unstable, when full_report still returned a report of NaN measures. The test
+now checks the refusal at that entry, and this script no longer writes it.
 """
 
 import json
@@ -15,10 +20,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from cavmag import measures
 from cavmag.measures import REPORT_COLUMNS, full_report
 from cavmag.model import default_params
-from cavmag.steady_state import StabilityReport
 from conftest import random_params
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_report.json")
@@ -31,49 +34,35 @@ def sideband(p):
 
 
 def points():
-    """(label, params, forced_unstable) for every golden point."""
+    """(label, params) for every golden point."""
     rng = np.random.default_rng(SEED)
     base = default_params()
     raised = base.replace(
         kappa_1=5 * base.kappa_1, kappa_2=5 * base.kappa_2, kappa_m=5 * base.kappa_m
     )
-    out = [(f"random {i}", random_params(rng), False) for i in range(32)]
-    out += [(f"stiff {i}", random_params(rng, stiff=True), False) for i in range(24)]
+    out = [(f"random {i}", random_params(rng)) for i in range(32)]
+    out += [(f"stiff {i}", random_params(rng, stiff=True)) for i in range(24)]
     out += [
-        ("default", base, False),
-        ("sideband", sideband(base), False),
-        ("raised-decay sideband", sideband(raised), False),
-        ("no squeezing", base.replace(r=0.0), False),
-        ("vacuum", base.replace(r=0.0, temperature=0.0), False),
-        ("decoupled magnon", base.replace(gamma_1=0.0, gamma_2=0.0), False),
-        ("hot sideband", sideband(base).replace(temperature=0.4), False),
-        ("forced unstable", base, True),
+        ("default", base),
+        ("sideband", sideband(base)),
+        ("raised-decay sideband", sideband(raised)),
+        ("no squeezing", base.replace(r=0.0)),
+        ("vacuum", base.replace(r=0.0, temperature=0.0)),
+        ("decoupled magnon", base.replace(gamma_1=0.0, gamma_2=0.0)),
+        ("hot sideband", sideband(base).replace(temperature=0.4)),
     ]
     return out
 
 
-def report_row(p, forced_unstable):
-    if not forced_unstable:
-        return full_report(p).as_dict()
-    fake = StabilityReport(max_real_part=1.0, spectrum=np.ones(6, dtype=complex), stable=False)
-    saved = measures.steady_state.stability
-    measures.steady_state.stability = lambda m: fake
-    try:
-        return full_report(p).as_dict()
-    finally:
-        measures.steady_state.stability = saved
-
-
 def main():
     entries = []
-    for label, p, forced in points():
-        row = report_row(p, forced)
+    for label, p in points():
+        row = full_report(p).as_dict()
         entries.append({
             "label": label,
             "params": asdict(p),
-            "forced_unstable": forced,
             "stable": row["stable"],
-            "columns": [None if np.isnan(row[c]) else row[c] for c in REPORT_COLUMNS],
+            "columns": [row[c] for c in REPORT_COLUMNS],
         })
     with open(OUT, "w", encoding="utf-8") as handle:
         json.dump({"columns": list(REPORT_COLUMNS), "points": entries}, handle, indent=1)

@@ -132,23 +132,33 @@ class TestPointCommand:
         assert code == 1
         assert "nonsense" in err
 
-    def test_unstable_point_exits_2_with_report(self, capsys, monkeypatch):
-        import cavmag.cli as cli_mod
-        from cavmag.measures import CorrelationReport
+    def test_unstable_point_exits_2_without_report(self, capsys, monkeypatch):
+        import cavmag.measures as measures
         from cavmag.steady_state import StabilityReport
 
-        def fake_report(params):
-            stab = StabilityReport(
-                max_real_part=1.0, spectrum=np.ones(6, dtype=complex), stable=False
-            )
-            return CorrelationReport(params=params, stability=stab)
-
-        monkeypatch.setattr(cli_mod, "full_report", fake_report)
-        code, out, _ = run_cli(capsys, "point")
+        fake = StabilityReport(
+            max_real_part=1.0, spectrum=np.ones(6, dtype=complex), stable=False
+        )
+        monkeypatch.setattr(measures.steady_state, "stability", lambda m: fake)
+        code, out, err = run_cli(capsys, "point")
         assert code == 2
-        payload = json.loads(out)
-        assert payload["stable"] is False
-        assert payload["e_n"] is None
+        assert out == ""
+        assert "drift matrix is unstable" in err and "at parameter point" in err
+
+    def test_large_squeezing_prints_strict_json_or_nothing(self, capsys):
+        # at r = 10 a measure came out infinite and printed as Infinity; the
+        # BLAS decides whether it still does, so both outcomes are accepted
+        code, out, err = run_cli(capsys, "point", "--r", "10")
+
+        def refuse(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        if out:
+            assert code == 0
+            json.loads(out, parse_constant=refuse)
+        else:
+            assert code == 1
+            assert "at parameter point" in err
 
 
 class TestSweepCommand:

@@ -46,6 +46,8 @@ class TestNoiseMoments:
 
     def test_extreme_cold_does_not_overflow(self):
         assert thermal_occupation(TWO_PI * 1e10, 1e-9) == 0.0
+        # at the smallest normal float k_B T underflows to zero
+        assert thermal_occupation(TWO_PI * 1e10, 2.2250738585072014e-308) == 0.0
 
     @pytest.mark.parametrize("r", np.linspace(0.0, 3.0, 31))
     def test_minimum_uncertainty_bath(self, r):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,22 @@ def ode_reference(p, t_end_factor=12.0):
     dt = 0.09 / np.linalg.norm(m, 2)
     t_end = t_end_factor / min(p.kappa_1, p.kappa_2, p.kappa_m)
     return integrate_lyapunov_ode(m, d, t_end, dt)
+
+
+def lyapunov_mp(m, d):
+    """V from the 36x36 system (I (x) M + M (x) I) vec V = -vec D at 50 digits."""
+    n = m.shape[0]
+    with mpmath.workdps(50):
+        coeff = mpmath.zeros(n * n, n * n)
+        for i in range(n):
+            for k in range(n):
+                # (M V + V M^T)_ik = sum_l M_il V_lk + V_il M_kl
+                for l in range(n):
+                    coeff[i * n + k, l * n + k] += m[i, l]
+                    coeff[i * n + k, i * n + l] += m[k, l]
+        rhs = mpmath.matrix([-x for x in d.reshape(-1).tolist()])
+        vec = mpmath.lu_solve(coeff, rhs)
+        return np.array([float(x) for x in vec]).reshape(n, n)
 
 
 class TestSolveLyapunov:
@@ -87,6 +104,27 @@ class TestSolveLyapunov:
     def test_refuses_unstable_drift(self):
         with pytest.raises(StabilityError):
             solve_lyapunov(np.eye(6), np.eye(6))
+
+    @pytest.mark.parametrize("point", [
+        "default", "r = 3, T = 2 K", "sideband, T = 0.5 K", "stiff corner",
+    ])
+    def test_matches_50_digit_oracle(self, point):
+        p = default_params()
+        kc = p.kappa_c
+        p = {
+            "default": p,
+            "r = 3, T = 2 K": p.replace(r=3.0, temperature=2.0),
+            "sideband, T = 0.5 K": p.replace(
+                delta_m=2 * kc, delta_1=-2 * kc, delta_2=2 * kc, temperature=0.5
+            ),
+            "stiff corner": p.replace(
+                kappa_m=1e-3 * kc, gamma_1=30 * kc, gamma_2=0.01 * kc, kappa_2=1e3 * kc
+            ),
+        }[point]
+        m = drift_matrix(p)
+        d = diffusion_matrix(p)
+        v_mp = lyapunov_mp(m, d)
+        assert np.abs(solve_lyapunov(m, d) - v_mp).max() <= 1e-14 * np.abs(v_mp).max()
 
 
 class TestStability:
