@@ -130,12 +130,9 @@ def parse_config_file(path: str) -> tuple[dict, dict]:
 
 def _parse_grid(text: str) -> tuple:
     try:
-        parts = tuple(int(p) for p in str(text).lower().split("x"))
+        return tuple(int(p) for p in str(text).lower().split("x"))
     except ValueError:
         raise ConfigError(f"cannot parse grid specification {text!r} (expected N or NxM)")
-    if not 1 <= len(parts) <= 2 or any(p < 2 for p in parts):
-        raise ConfigError(f"grid specification {text!r} must be N or NxM with N, M >= 2")
-    return parts
 
 
 class _Parser(argparse.ArgumentParser):

@@ -88,9 +88,8 @@ _PAIRS = (
     ("mc1", Mode.MAGNON, Mode.CAVITY_1),
     ("mc2", Mode.MAGNON, Mode.CAVITY_2),
 )
-_PAIR_KEYS_OF = {
-    mode: tuple(key for key, a, b in _PAIRS if mode in (a, b)) for mode in Mode
-}
+# The two directions of each _PAIRS entry in turn: full_report takes each
+# pair's steering asymmetry from consecutive entries.
 _STEERING_DIRECTIONS = (
     ("c1|c2", Mode.CAVITY_1, Mode.CAVITY_2),
     ("c2|c1", Mode.CAVITY_2, Mode.CAVITY_1),
@@ -240,78 +239,74 @@ def classify_steering(z_ab: float, z_ba: float) -> str:
     return "no-way"
 
 
-# Flat column layout shared by reports, sweeps and serialized grids.
-REPORT_COLUMNS = (
-    "e_n_c1c2",
-    "e_n_mc1",
-    "e_n_mc2",
-    "e_n_mc_max",
-    "e_n_m_vs_c1c2",
-    "e_n_c1_vs_mc2",
-    "e_n_c2_vs_mc1",
-    "r_tau_m",
-    "r_tau_c1",
-    "r_tau_c2",
-    "r_tau_min",
-    "zeta_c1_c2",
-    "zeta_c2_c1",
-    "zeta_m_c1",
-    "zeta_c1_m",
-    "zeta_m_c2",
-    "zeta_c2_m",
-    "zeta_s_c1c2",
-    "zeta_s_mc1",
-    "zeta_s_mc2",
-    "nu_min",
-    "lambda_max",
+# The report row, shared by reports, sweeps and serialized grids: each
+# column in order, with the grouped view of CorrelationReport and the key it
+# appears under there (None for a column read on its own).
+_LAYOUT = (
+    ("e_n_c1c2", "e_n", "c1c2"),
+    ("e_n_mc1", "e_n", "mc1"),
+    ("e_n_mc2", "e_n", "mc2"),
+    ("e_n_mc_max", None, None),
+    ("e_n_m_vs_c1c2", "e_n_one_vs_two", "m"),
+    ("e_n_c1_vs_mc2", "e_n_one_vs_two", "c1"),
+    ("e_n_c2_vs_mc1", "e_n_one_vs_two", "c2"),
+    ("r_tau_m", "residuals", "m"),
+    ("r_tau_c1", "residuals", "c1"),
+    ("r_tau_c2", "residuals", "c2"),
+    ("r_tau_min", None, None),
+    ("zeta_c1_c2", "steering", "c1|c2"),
+    ("zeta_c2_c1", "steering", "c2|c1"),
+    ("zeta_m_c1", "steering", "m|c1"),
+    ("zeta_c1_m", "steering", "c1|m"),
+    ("zeta_m_c2", "steering", "m|c2"),
+    ("zeta_c2_m", "steering", "c2|m"),
+    ("zeta_s_c1c2", "asymmetry", "c1c2"),
+    ("zeta_s_mc1", "asymmetry", "mc1"),
+    ("zeta_s_mc2", "asymmetry", "mc2"),
+    ("nu_min", None, None),
+    ("lambda_max", None, None),
 )
+REPORT_COLUMNS = tuple(column for column, _, _ in _LAYOUT)
+
+
+def _view(name: str) -> property:
+    """Read-only dict of the row's columns grouped under one view name."""
+    members = tuple((key, column) for column, view, key in _LAYOUT if view == name)
+    return property(lambda self: {key: self.values[column] for key, column in members})
+
+
+def _column(name: str) -> property:
+    return property(lambda self: self.values[name])
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Every scalar measure at one parameter point."""
+    """Every scalar measure at one parameter point.
+
+    values maps each of REPORT_COLUMNS, in order, to a float; the grouped
+    views (e_n["c1c2"], steering["c1|m"], ...) and r_tau_min and nu_min read
+    from it.
+    """
 
     params: PhysicalParams
     stability: StabilityReport
-    e_n: dict
-    e_n_one_vs_two: dict
-    residuals: dict
-    r_tau_min: float
-    steering: dict
-    asymmetry: dict
-    nu_min: float
+    values: dict
+
+    e_n = _view("e_n")
+    e_n_one_vs_two = _view("e_n_one_vs_two")
+    residuals = _view("residuals")
+    steering = _view("steering")
+    asymmetry = _view("asymmetry")
+    r_tau_min = _column("r_tau_min")
+    nu_min = _column("nu_min")
 
     @property
     def stable(self) -> bool:
         return self.stability.stable
 
     def as_dict(self) -> dict:
-        """Flatten to the canonical column layout, plus the stable flag."""
-        return {
-            "e_n_c1c2": self.e_n["c1c2"],
-            "e_n_mc1": self.e_n["mc1"],
-            "e_n_mc2": self.e_n["mc2"],
-            "e_n_mc_max": max(self.e_n["mc1"], self.e_n["mc2"]),
-            "e_n_m_vs_c1c2": self.e_n_one_vs_two["m"],
-            "e_n_c1_vs_mc2": self.e_n_one_vs_two["c1"],
-            "e_n_c2_vs_mc1": self.e_n_one_vs_two["c2"],
-            "r_tau_m": self.residuals["m"],
-            "r_tau_c1": self.residuals["c1"],
-            "r_tau_c2": self.residuals["c2"],
-            "r_tau_min": self.r_tau_min,
-            "zeta_c1_c2": self.steering["c1|c2"],
-            "zeta_c2_c1": self.steering["c2|c1"],
-            "zeta_m_c1": self.steering["m|c1"],
-            "zeta_c1_m": self.steering["c1|m"],
-            "zeta_m_c2": self.steering["m|c2"],
-            "zeta_c2_m": self.steering["c2|m"],
-            "zeta_s_c1c2": self.asymmetry["c1c2"],
-            "zeta_s_mc1": self.asymmetry["mc1"],
-            "zeta_s_mc2": self.asymmetry["mc2"],
-            "nu_min": self.nu_min,
-            "lambda_max": self.stability.max_real_part,
-            "stable": self.stable,
-        }
+        """The row in the canonical column layout, plus the stable flag."""
+        return {**self.values, "stable": self.stable}
 
 
 # Stacked sign masks for the batched spectra of full_report: all ones (the
@@ -348,7 +343,6 @@ def _measures(v):
     spectra = np.abs(np.linalg.eigvals(OMEGA_3 @ (v * _SPECTRUM_SIGNS)).imag)
     # +/- i nu pairs: the second-smallest modulus is the smallest nu
     nu_min = _require_heisenberg(float(np.sort(spectra[0])[1]))
-    e_n_one_vs_two = np.maximum(0.0, -np.log(2.0 * spectra[1:].min(axis=1)))
 
     blocks = v.reshape(3, 2, 3, 2)
     det_blocks = (
@@ -368,7 +362,16 @@ def _measures(v):
     # the rationalized root: (Dt - split) / 2 cancels digits when eta is small
     split = np.sqrt(np.maximum(delta_pt**2 - 4.0 * det_pairs, 0.0))
     eta_sq = 2.0 * det_pairs / (delta_pt + split)
-    e_n_pairs = np.maximum(0.0, -0.5 * np.log(4.0 * eta_sq))
+    # at large r (r = 10) a partially transposed eigenvalue sinks below the
+    # rounding error of V and can come out as zero; the finiteness test below
+    # refuses the infinite negativity, so numpy is not let warn of it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_n_one_vs_two = np.maximum(0.0, -np.log(2.0 * spectra[1:].min(axis=1)))
+        e_n_pairs = np.maximum(0.0, -0.5 * np.log(4.0 * eta_sq))
+        steering = np.maximum(
+            0.0,
+            0.5 * np.log(det_blocks[_STEERER, _STEERER] / (4.0 * det_pairs[_DIRECTION_PAIR])),
+        )
     # Near a double root (nearly pure, weakly correlated pairs such as the
     # vacuum at r = 0) rounding in Dt^2 - 4 det sigma costs the root half its
     # digits, so those pairs take the eigenvalue route.
@@ -376,13 +379,7 @@ def _measures(v):
         eta = _pt_min_eigenvalue(pair_cms[k], PT_PAIR, OMEGA_2)
         e_n_pairs[k] = max(0.0, -math.log(2.0 * eta))
 
-    steering = np.maximum(
-        0.0,
-        0.5 * np.log(det_blocks[_STEERER, _STEERER] / (4.0 * det_pairs[_DIRECTION_PAIR])),
-    )
     e_n_pairs, e_n_split, zeta = e_n_pairs.tolist(), e_n_one_vs_two.tolist(), steering.tolist()
-    # at large r (r = 10) a partially transposed eigenvalue sinks below the
-    # rounding error of V and can come out as zero: an infinite negativity
     if not all(map(math.isfinite, e_n_pairs + e_n_split + zeta)):
         raise NumericalError("a correlation measure is not finite")
     return nu_min, e_n_pairs, e_n_split, zeta
@@ -396,30 +393,22 @@ def full_report(p: PhysicalParams) -> CorrelationReport:
         d = model.diffusion_matrix(p)
         v = steady_state.solve_lyapunov(m, d)
         nu_min, e_n_pairs, e_n_split, zeta = _measures(v)
-
-        e_n = {key: value for (key, _, _), value in zip(_PAIRS, e_n_pairs)}
-        one_vs_two = {mode.label: value for mode, value in zip(Mode, e_n_split)}
-        residuals = {
-            mode.label: one_vs_two[mode.label] ** 2
-            - sum(e_n[key] ** 2 for key in _PAIR_KEYS_OF[mode])
-            for mode in Mode
-        }
-        steering = {key: value for (key, _, _), value in zip(_STEERING_DIRECTIONS, zeta)}
-        asymmetry = {
-            "c1c2": abs(steering["c1|c2"] - steering["c2|c1"]),
-            "mc1": abs(steering["m|c1"] - steering["c1|m"]),
-            "mc2": abs(steering["m|c2"] - steering["c2|m"]),
-        }
-        return CorrelationReport(
-            params=p,
-            stability=report,
-            e_n=e_n,
-            e_n_one_vs_two=one_vs_two,
-            residuals=residuals,
-            r_tau_min=_clamp_residual(min(residuals.values())),
-            steering=steering,
-            asymmetry=asymmetry,
-            nu_min=nu_min,
-        )
     except CavmagError as exc:
         raise type(exc)(f"{exc} [at parameter point {p}]") from exc
+    # each focus mode's contangle less those of the two pairs holding it
+    residuals = [
+        x**2 - sum(e**2 for e, (_, a, b) in zip(e_n_pairs, _PAIRS) if mode in (a, b))
+        for mode, x in zip(Mode, e_n_split)
+    ]
+    row = (  # in _LAYOUT order
+        *e_n_pairs,
+        max(e_n_pairs[1:]),
+        *e_n_split,
+        *residuals,
+        _clamp_residual(min(residuals)),
+        *zeta,
+        *(abs(ab - ba) for ab, ba in zip(zeta[::2], zeta[1::2])),
+        nu_min,
+        report.max_real_part,
+    )
+    return CorrelationReport(p, report, dict(zip(REPORT_COLUMNS, row, strict=True)))

@@ -114,8 +114,11 @@ class SweepResult:
     """Row-major grid of axis values, requested quantities and stability."""
 
     spec: SweepSpec
-    columns: tuple
     rows: list
+
+    @property
+    def columns(self) -> tuple:
+        return self.spec.columns
 
     def column(self, name: str) -> np.ndarray:
         """One column as a float array (stable flag as 0/1)."""
@@ -197,7 +200,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
                 pool.close()
                 pool.join()
                 raise
-    return SweepResult(spec=spec, columns=spec.columns, rows=rows)
+    return SweepResult(spec=spec, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +476,12 @@ def write_json(result: SweepResult, destination) -> None:
 
 
 def read_json(source) -> SweepResult:
-    """Inverse of write_json."""
+    """Inverse of write_json; a columns list that is not the spec's raises."""
     with open(os.fspath(source), encoding="utf-8") as handle:
         payload = json.load(handle)
     spec = spec_from_dict(payload["spec"])
-    return SweepResult(
-        spec=spec,
-        columns=tuple(payload["columns"]),
-        rows=payload["rows"],
-    )
+    if tuple(payload["columns"]) != spec.columns:
+        raise ValidationError(
+            f"columns {payload['columns']} do not match the spec's {list(spec.columns)}"
+        )
+    return SweepResult(spec=spec, rows=payload["rows"])

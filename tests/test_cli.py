@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavmag
 from cavmag.cli import main, parse_config_file, resolve_params
 from cavmag.errors import ConfigError
 from cavmag.model import TWO_PI, default_params
@@ -99,6 +104,19 @@ class TestPointCommand:
         assert payload["steering"]["m|c1"] == 0.0
         assert len(payload["spectrum"]) == 6
 
+    def test_payload_key_order(self, capsys):
+        _, out, _ = run_cli(capsys, "point")
+        payload = json.loads(out)
+        assert list(payload) == [
+            "params", "stable", "lambda_max", "spectrum", "e_n", "e_n_one_vs_two",
+            "residuals", "r_tau_min", "steering", "asymmetry", "nu_min",
+        ]
+        assert list(payload["e_n"]) == ["c1c2", "mc1", "mc2"]
+        assert list(payload["e_n_one_vs_two"]) == ["m", "c1", "c2"]
+        assert list(payload["residuals"]) == ["m", "c1", "c2"]
+        assert list(payload["steering"]) == ["c1|c2", "c2|c1", "m|c1", "c1|m", "m|c2", "c2|m"]
+        assert list(payload["asymmetry"]) == ["c1c2", "mc1", "mc2"]
+
     def test_no_squeezing_kills_all_correlations(self, capsys):
         code, out, _ = run_cli(capsys, "point", "--r", "0")
         assert code == 0
@@ -145,20 +163,29 @@ class TestPointCommand:
         assert out == ""
         assert "drift matrix is unstable" in err and "at parameter point" in err
 
-    def test_large_squeezing_prints_strict_json_or_nothing(self, capsys):
+    def test_large_squeezing_prints_strict_json_or_nothing(self):
         # at r = 10 a measure came out infinite and printed as Infinity; the
-        # BLAS decides whether it still does, so both outcomes are accepted
-        code, out, err = run_cli(capsys, "point", "--r", "10")
+        # BLAS decides whether it still does, so both outcomes are accepted.
+        # A child process shows stderr as a user sees it, numpy warnings included.
+        src = str(Path(cavmag.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cavmag.cli", "point", "--r", "10"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
 
         def refuse(token):
             raise ValueError(f"non-JSON token {token}")
 
-        if out:
-            assert code == 0
-            json.loads(out, parse_constant=refuse)
+        if proc.stdout:
+            assert proc.returncode == 0
+            json.loads(proc.stdout, parse_constant=refuse)
+            assert proc.stderr == ""
         else:
-            assert code == 1
-            assert "at parameter point" in err
+            assert proc.returncode == 1
+            assert len(proc.stderr.splitlines()) == 1
+            assert "at parameter point" in proc.stderr
 
 
 class TestSweepCommand:
@@ -245,6 +272,19 @@ class TestFigureCommand:
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         assert payload["columns"][0] == "gamma_ratio"
         assert len(payload["rows"]) == 5
+
+    @pytest.mark.parametrize("figure_id, grid, message", [
+        ("fig7a", "1", "axes.count: must be >= 2"),
+        ("fig7a", "0", "axes.count: must be >= 2"),
+        ("fig4a", "2x3x4", "expected 2 axis counts, got 3"),
+    ])
+    def test_bad_grid_exits_1_without_file(self, capsys, tmp_path, figure_id, grid, message):
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "figure", figure_id, "--grid", grid,
+                               "--out", str(out_path))
+        assert code == 1
+        assert message in err
+        assert not out_path.exists()
 
     def test_io_failure_exits_3(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"

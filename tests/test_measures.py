@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,23 @@ from cavmag.steady_state import StabilityReport, solve_lyapunov
 from conftest import KAPPA_C, random_params
 
 GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "data", "golden_report.json")
+
+# Each grouped view of CorrelationReport, its keys in order, and the flat
+# column each key reads.
+VIEW_COLUMNS = {
+    "e_n": {"c1c2": "e_n_c1c2", "mc1": "e_n_mc1", "mc2": "e_n_mc2"},
+    "e_n_one_vs_two": {"m": "e_n_m_vs_c1c2", "c1": "e_n_c1_vs_mc2", "c2": "e_n_c2_vs_mc1"},
+    "residuals": {"m": "r_tau_m", "c1": "r_tau_c1", "c2": "r_tau_c2"},
+    "steering": {
+        "c1|c2": "zeta_c1_c2",
+        "c2|c1": "zeta_c2_c1",
+        "m|c1": "zeta_m_c1",
+        "c1|m": "zeta_c1_m",
+        "m|c2": "zeta_m_c2",
+        "c2|m": "zeta_c2_m",
+    },
+    "asymmetry": {"c1c2": "zeta_s_c1c2", "mc1": "zeta_s_mc1", "mc2": "zeta_s_mc2"},
+}
 
 VACUUM_6 = 0.5 * np.eye(6)
 VACUUM_4 = 0.5 * np.eye(4)
@@ -311,9 +329,12 @@ class TestFullReport:
 
     def test_large_squeezing_is_finite_or_refused(self):
         # at r = 10 a one-vs-two negativity came out infinite; whether it does
-        # depends on the rounding of the BLAS in use, so either outcome passes
+        # depends on the rounding of the BLAS in use, so either outcome passes,
+        # but numpy must not warn on the way to the refusal
         try:
-            flat = full_report(default_params().replace(r=10.0)).as_dict()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                flat = full_report(default_params().replace(r=10.0)).as_dict()
         except CavmagError as exc:
             assert "at parameter point" in str(exc)
         else:
@@ -329,9 +350,25 @@ class TestFullReport:
 
     def test_as_dict_round_trip_of_columns(self):
         flat = full_report(default_params()).as_dict()
-        for column in measures.REPORT_COLUMNS:
-            assert column in flat
+        assert list(flat) == [*measures.REPORT_COLUMNS, "stable"]
         assert flat["e_n_mc_max"] == max(flat["e_n_mc1"], flat["e_n_mc2"])
+
+    def test_views_read_their_columns_at_golden_points(self):
+        with open(GOLDEN_REPORT, encoding="utf-8") as handle:
+            points = json.load(handle)["points"]
+        for entry in points:
+            if entry.get("forced_unstable"):
+                continue
+            rep = full_report(PhysicalParams(**entry["params"]))
+            flat = rep.as_dict()
+            for view, columns in VIEW_COLUMNS.items():
+                grouped = getattr(rep, view)
+                assert list(grouped) == list(columns), view
+                for key, column in columns.items():
+                    assert grouped[key] == flat[column], (entry["label"], view, key)
+            assert rep.r_tau_min == flat["r_tau_min"]
+            assert rep.nu_min == flat["nu_min"]
+            assert rep.stability.max_real_part == flat["lambda_max"]
 
 
 class TestBatchedReport:

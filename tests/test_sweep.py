@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -317,6 +319,16 @@ class TestSerialization:
         path = tmp_path / "grid.json"
         write_json(result, path)
         assert read_json(path) == result
+
+    def test_json_columns_must_match_the_spec(self, tmp_path):
+        result = run_sweep(small_spec())
+        path = tmp_path / "grid.json"
+        write_json(result, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["columns"] = payload["columns"][::-1]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError, match="do not match the spec"):
+            read_json(path)
 
     def test_json_refuses_nan_cell(self, tmp_path):
         result = run_sweep(small_spec())
