@@ -31,6 +31,7 @@ RESIDUAL_FLOOR = -1e-9
 # negativity from its eigenvalues, not from the closed form: there the
 # closed form's error grows as 1e-16 / split.
 MIN_ROOT_SPLIT = 1e-2
+_EPS = float(np.finfo(float).eps)
 
 
 class Mode(enum.IntEnum):
@@ -339,7 +340,20 @@ def _measures(v):
     from a to b is (1/2) ln(det A / (4 det sigma)). These are the values of
     log_negativity and gaussian_steering, which stay the eigenvalue-based
     reference.
+
+    V is refused first when eps cond_2(V) exceeds PHYSICALITY_ATOL: rounding
+    then moves the measures by more than the Heisenberg slack. At large
+    squeezing (from r = 5.56 at default_params) even the exact V of the
+    rounded drift and diffusion matrices is unphysical, so no solver can do
+    better.
     """
+    w = np.abs(np.linalg.eigvalsh(v))
+    cond = float(w.max() / w.min()) if w.min() > 0.0 else math.inf
+    if not _EPS * cond <= PHYSICALITY_ATOL:
+        raise NumericalError(
+            f"covariance matrix too ill-conditioned for its measures "
+            f"(eps * cond(V) = {_EPS * cond:.3e} > {PHYSICALITY_ATOL:g})"
+        )
     spectra = np.abs(np.linalg.eigvals(OMEGA_3 @ (v * _SPECTRUM_SIGNS)).imag)
     # +/- i nu pairs: the second-smallest modulus is the smallest nu
     nu_min = _require_heisenberg(float(np.sort(spectra[0])[1]))
@@ -362,9 +376,9 @@ def _measures(v):
     # the rationalized root: (Dt - split) / 2 cancels digits when eta is small
     split = np.sqrt(np.maximum(delta_pt**2 - 4.0 * det_pairs, 0.0))
     eta_sq = 2.0 * det_pairs / (delta_pt + split)
-    # at large r (r = 10) a partially transposed eigenvalue sinks below the
-    # rounding error of V and can come out as zero; the finiteness test below
-    # refuses the infinite negativity, so numpy is not let warn of it
+    # a partially transposed eigenvalue below the rounding error of V can
+    # come out as zero; the finiteness test below refuses the infinite
+    # negativity, so numpy is not let warn of it
     with np.errstate(divide="ignore", invalid="ignore"):
         e_n_one_vs_two = np.maximum(0.0, -np.log(2.0 * spectra[1:].min(axis=1)))
         e_n_pairs = np.maximum(0.0, -0.5 * np.log(4.0 * eta_sq))
@@ -389,9 +403,7 @@ def full_report(p: PhysicalParams) -> CorrelationReport:
     """Stability, steady state and all correlation measures at one point."""
     try:
         m = model.drift_matrix(p)
-        report = steady_state.stability(m)
-        d = model.diffusion_matrix(p)
-        v = steady_state.solve_lyapunov(m, d)
+        v, report = steady_state.solve_lyapunov(m, model.diffusion_matrix(p))
         nu_min, e_n_pairs, e_n_split, zeta = _measures(v)
     except CavmagError as exc:
         raise type(exc)(f"{exc} [at parameter point {p}]") from exc

@@ -13,7 +13,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import (
     DimensionError,
@@ -56,6 +55,10 @@ def eig_general(a) -> np.ndarray:
 
 def solve_linear(a, b) -> np.ndarray:
     """Solve a x = b by LU factorization with a pivot-based singularity guard."""
+    # imported here: scipy.linalg is most of the package's import time, and
+    # nothing else in the package needs it
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
     m = _as_square(a)
     rhs = np.asarray(b, dtype=float)
     if rhs.shape[0] != m.shape[0]:

@@ -48,12 +48,13 @@ def stability(m) -> StabilityReport:
     return StabilityReport(max_real_part=max_real, spectrum=spectrum, stable=max_real < 0.0)
 
 
-def solve_lyapunov(m, d) -> np.ndarray:
+def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
     """Steady-state covariance matrix for drift m and diffusion d.
 
+    Returns (v, report), where report is the drift's stability report.
     Refuses unstable drift matrices: the algebraic solution only describes
-    the long-time state when m is Hurwitz. The result is symmetrized to
-    remove round-off asymmetry and checked against the residual bound.
+    the long-time state when m is Hurwitz. v is symmetrized to remove
+    round-off asymmetry and checked against the residual bound.
     """
     m = np.asarray(m, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -89,4 +90,4 @@ def solve_lyapunov(m, d) -> np.ndarray:
         raise NumericalError(
             f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}"
         )
-    return v
+    return v, report

@@ -408,7 +408,7 @@ def with_resolution(spec: SweepSpec, counts) -> SweepSpec:
         raise ValidationError(
             f"expected {len(spec.axes)} axis counts, got {len(counts)}"
         )
-    axes = tuple(replace(ax, count=int(c)) for ax, c in zip(spec.axes, counts))
+    axes = tuple(replace(ax, count=c) for ax, c in zip(spec.axes, counts))
     return replace(spec, axes=axes)
 
 
@@ -445,15 +445,6 @@ def write_csv(result: SweepResult, destination) -> None:
     _atomic_write(destination, "\n".join(lines) + "\n")
 
 
-def _spec_to_dict(spec: SweepSpec) -> dict:
-    return {
-        "base": asdict(spec.base),
-        "axes": [asdict(ax) for ax in spec.axes],
-        "quantities": list(spec.quantities),
-        "description": spec.description,
-    }
-
-
 def spec_from_dict(data: dict) -> SweepSpec:
     base = PhysicalParams(**data["base"])
     axes = tuple(AxisSpec(**ax) for ax in data["axes"])
@@ -468,7 +459,7 @@ def spec_from_dict(data: dict) -> SweepSpec:
 def write_json(result: SweepResult, destination) -> None:
     """Lossless JSON grid: {spec, columns, rows}; a non-finite cell raises."""
     payload = {
-        "spec": _spec_to_dict(result.spec),
+        "spec": asdict(result.spec),
         "columns": list(result.columns),
         "rows": result.rows,
     }
@@ -476,12 +467,23 @@ def write_json(result: SweepResult, destination) -> None:
 
 
 def read_json(source) -> SweepResult:
-    """Inverse of write_json; a columns list that is not the spec's raises."""
+    """Inverse of write_json; a file that does not hold its spec's grid raises."""
     with open(os.fspath(source), encoding="utf-8") as handle:
         payload = json.load(handle)
+    missing = [key for key in ("spec", "columns", "rows") if key not in payload]
+    if missing:
+        raise ValidationError(f"grid file lacks the keys {missing}")
     spec = spec_from_dict(payload["spec"])
     if tuple(payload["columns"]) != spec.columns:
         raise ValidationError(
             f"columns {payload['columns']} do not match the spec's {list(spec.columns)}"
         )
-    return SweepResult(spec=spec, rows=payload["rows"])
+    rows = payload["rows"]
+    if len(rows) != spec.size:
+        raise ValidationError(f"{len(rows)} rows, expected the spec's {spec.size}")
+    for i, row in enumerate(rows):
+        if len(row) != len(spec.columns):
+            raise ValidationError(
+                f"row {i} has {len(row)} cells, expected {len(spec.columns)}"
+            )
+    return SweepResult(spec=spec, rows=rows)

@@ -1,10 +1,15 @@
-"""Shared test helpers: reference scales and random configuration draws."""
+"""Shared test helpers: reference scales, random configuration draws and a
+child Python process that imports this checkout's package."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavmag
 from cavmag.model import TWO_PI, PhysicalParams
 
 KAPPA_C = TWO_PI * 5e6
@@ -51,3 +56,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in acceptance.RESULTS:
             terminalreporter.write_line(line)
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Python in a child process with this checkout's cavmag importable.
+
+    A child shows stderr as a user sees it, numpy warnings included, and
+    starts from a fresh set of imported modules.
+    """
+    src = str(Path(cavmag.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )

@@ -396,7 +396,7 @@ def test_criterion_7a_lyapunov_residual_and_ode_oracle(rng):
     for p in configs:
         m = drift_matrix(p)
         d = diffusion_matrix(p)
-        v = solve_lyapunov(m, d)
+        v, _ = solve_lyapunov(m, d)
         residual = np.linalg.norm(m @ v + v @ m.T + d, np.inf)
         worst_residual_ratio = max(
             worst_residual_ratio, residual / np.linalg.norm(d, np.inf)

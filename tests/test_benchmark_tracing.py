@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from cavmag import measures
+from cavmag.model import default_params
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -26,3 +29,11 @@ tracing = load_tracing()
 )
 def test_traced_attribute_exists(owner, attr):
     assert callable(getattr(owner, attr))
+
+
+def test_full_report_solves_the_drift_spectrum_once():
+    with tracing.Tracer() as tracer:
+        for r in (0.2, 0.5, 0.8):
+            measures.full_report(default_params().replace(r=r))
+    assert tracer.counts["steady_state.stability"] == 3
+    assert tracer.counts["numerics.eig_general"] == 3

@@ -1,16 +1,12 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cavmag
 from cavmag.cli import main, parse_config_file, resolve_params
 from cavmag.errors import ConfigError
 from cavmag.model import TWO_PI, default_params
+from conftest import run_python
 
 
 def run_cli(capsys, *argv):
@@ -164,16 +160,9 @@ class TestPointCommand:
         assert "drift matrix is unstable" in err and "at parameter point" in err
 
     def test_large_squeezing_prints_strict_json_or_nothing(self):
-        # at r = 10 a measure came out infinite and printed as Infinity; the
-        # BLAS decides whether it still does, so both outcomes are accepted.
-        # A child process shows stderr as a user sees it, numpy warnings included.
-        src = str(Path(cavmag.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "cavmag.cli", "point", "--r", "10"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        # at r = 10 a measure once came out infinite and printed as Infinity;
+        # whatever the outcome, stdout must stay strict JSON
+        proc = run_python("-m", "cavmag.cli", "point", "--r", "10")
 
         def refuse(token):
             raise ValueError(f"non-JSON token {token}")
@@ -186,6 +175,13 @@ class TestPointCommand:
             assert proc.returncode == 1
             assert len(proc.stderr.splitlines()) == 1
             assert "at parameter point" in proc.stderr
+
+    def test_squeezing_beyond_the_digits_of_v_exits_1(self):
+        proc = run_python("-m", "cavmag.cli", "point", "--r", "9")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "ill-conditioned" in proc.stderr and "at parameter point" in proc.stderr
 
 
 class TestSweepCommand:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cavmag.measures as measures
-from cavmag.errors import CavmagError, DomainError, PhysicalityError, StabilityError
+from cavmag.errors import DomainError, NumericalError, PhysicalityError, StabilityError
 from cavmag.measures import (
     Mode,
     classify_steering,
@@ -61,7 +61,8 @@ def tmsv(s: float) -> np.ndarray:
 
 
 def steady_state_cm(p):
-    return solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
+    v, _ = solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
+    return v
 
 
 def forced_unstable(monkeypatch):
@@ -328,17 +329,29 @@ class TestFullReport:
             full_report(default_params())
 
     def test_large_squeezing_is_finite_or_refused(self):
-        # at r = 10 a one-vs-two negativity came out infinite; whether it does
-        # depends on the rounding of the BLAS in use, so either outcome passes,
-        # but numpy must not warn on the way to the refusal
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                flat = full_report(default_params().replace(r=10.0)).as_dict()
-        except CavmagError as exc:
-            assert "at parameter point" in str(exc)
-        else:
-            assert all(np.isfinite(flat[c]) for c in measures.REPORT_COLUMNS)
+        # at r = 10 a one-vs-two negativity once came out infinite; V's
+        # condition number refuses the point before any measure, and numpy
+        # must not warn on the way to the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="at parameter point"):
+                full_report(default_params().replace(r=10.0))
+
+    @pytest.mark.parametrize("r", [7.0, 9.0, 11.0, 15.0])
+    def test_squeezing_beyond_the_digits_of_v_is_refused(self, r):
+        # unrefused, r = 7 gave nu_min 0.500035 and r = 9 gave E_N 9.85:
+        # eps * cond_2(V) reads 3.2e-4 and 0.68 there
+        with pytest.raises(NumericalError, match=rf"ill-conditioned.*at parameter point.*r={r}"):
+            full_report(default_params().replace(r=r))
+
+    @pytest.mark.parametrize(
+        "change", [dict(r=5.5), dict(temperature=1e6)], ids=["r = 5.5", "T = 1e6 K"]
+    )
+    def test_well_conditioned_extremes_solve(self, change):
+        # eps * cond_2(V) reads 8.0e-7 at r = 5.5 and 4.1e-10 at 1e6 K, where
+        # eps * ||V||_2^2 would read 3.8e-5 and refuse the hot bath
+        rep = full_report(default_params().replace(**change))
+        assert all(math.isfinite(x) for x in rep.values.values())
 
     def test_errors_carry_parameter_context(self, monkeypatch):
         def boom(m, d):
@@ -430,7 +443,9 @@ class TestBatchedReport:
 
     def test_heisenberg_violation_is_refused(self, monkeypatch):
         monkeypatch.setattr(
-            measures.steady_state, "solve_lyapunov", lambda m, d: 0.4 * np.eye(6)
+            measures.steady_state,
+            "solve_lyapunov",
+            lambda m, d: (0.4 * np.eye(6), measures.steady_state.stability(m)),
         )
         with pytest.raises(PhysicalityError, match="Heisenberg.*at parameter point"):
             full_report(default_params())

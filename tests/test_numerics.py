@@ -9,6 +9,7 @@ from cavmag.errors import (
     StepSizeError,
 )
 from cavmag.numerics import eig_general, integrate_lyapunov_ode, solve_linear
+from conftest import run_python
 
 
 class TestEigGeneral:
@@ -82,6 +83,13 @@ class TestSolveLinear:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             solve_linear(np.eye(3), np.ones(4))
+
+    def test_importing_the_package_leaves_scipy_unloaded(self):
+        # scipy.linalg is imported by solve_linear alone, which no production
+        # path calls; loaded eagerly it was most of `import cavmag`
+        proc = run_python("-c", "import sys, cavmag; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestIntegrateLyapunovOde:

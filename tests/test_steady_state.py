@@ -39,7 +39,7 @@ def lyapunov_mp(m, d):
 class TestSolveLyapunov:
     def test_pure_decay_vacuum_fixed_point(self):
         kappa = 3.0e6
-        v = solve_lyapunov(-kappa * np.eye(6), kappa * np.eye(6))
+        v, _ = solve_lyapunov(-kappa * np.eye(6), kappa * np.eye(6))
         assert np.allclose(v, 0.5 * np.eye(6), atol=1e-12)
 
     def test_decoupled_analytic_solution(self):
@@ -52,7 +52,7 @@ class TestSolveLyapunov:
         rates = np.array([p.kappa_m, p.kappa_m, p.kappa_1, p.kappa_1,
                           p.kappa_2, p.kappa_2])
         expected = d / np.add.outer(rates, rates)
-        v = solve_lyapunov(m, d)
+        v, _ = solve_lyapunov(m, d)
         assert np.allclose(v, expected, rtol=1e-12, atol=1e-14)
         v_ode = ode_reference(p)
         assert np.abs(v - v_ode).max() <= 1e-8
@@ -61,7 +61,7 @@ class TestSolveLyapunov:
         p = default_params()
         m = drift_matrix(p)
         d = diffusion_matrix(p)
-        v = solve_lyapunov(m, d)
+        v, _ = solve_lyapunov(m, d)
         dt = 0.09 / np.linalg.norm(m, 2)
         v_ode = integrate_lyapunov_ode(m, d, t_end=40.0 / p.kappa_m, dt=dt)
         assert np.abs(v - v_ode).max() <= 1e-8
@@ -69,7 +69,7 @@ class TestSolveLyapunov:
     def test_random_configurations_match_ode_oracle(self, rng):
         for _ in range(10):
             p = random_params(rng)
-            v = solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
+            v, _ = solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
             assert np.abs(v - ode_reference(p)).max() <= 1e-8
 
     def test_residual_bound(self, rng):
@@ -77,29 +77,37 @@ class TestSolveLyapunov:
             p = random_params(rng, stiff=True)
             m = drift_matrix(p)
             d = diffusion_matrix(p)
-            v = solve_lyapunov(m, d)
+            v, _ = solve_lyapunov(m, d)
             residual = np.linalg.norm(m @ v + v @ m.T + d, np.inf)
             assert residual <= LYAPUNOV_RESIDUAL_RTOL * np.linalg.norm(d, np.inf)
 
     def test_result_exactly_symmetric(self, rng):
         p = random_params(rng)
-        v = solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
+        v, _ = solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
         assert np.array_equal(v, v.T)
 
     def test_physicality_of_steady_state(self, rng):
         for _ in range(30):
             p = random_params(rng, stiff=True)
-            v = solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
+            v, _ = solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
             assert symplectic_eigenvalues(v).min() >= 0.5 - 1e-9
 
     def test_label_swap_conjugation(self, rng):
         for _ in range(10):
             p = random_params(rng)
-            v = solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
-            v_swapped = solve_lyapunov(
+            v, _ = solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
+            v_swapped, _ = solve_lyapunov(
                 drift_matrix(p.swapped()), diffusion_matrix(p.swapped())
             )
             assert np.abs(SWAP @ v @ SWAP.T - v_swapped).max() <= 1e-10
+
+    def test_returns_the_drift_stability_report(self, rng):
+        for _ in range(5):
+            m = drift_matrix(random_params(rng))
+            _, report = solve_lyapunov(m, -m - m.T)
+            expected = stability(m)
+            assert report.stable and report.max_real_part == expected.max_real_part
+            assert np.array_equal(report.spectrum, expected.spectrum)
 
     def test_refuses_unstable_drift(self):
         with pytest.raises(StabilityError):
@@ -124,7 +132,7 @@ class TestSolveLyapunov:
         m = drift_matrix(p)
         d = diffusion_matrix(p)
         v_mp = lyapunov_mp(m, d)
-        assert np.abs(solve_lyapunov(m, d) - v_mp).max() <= 1e-14 * np.abs(v_mp).max()
+        assert np.abs(solve_lyapunov(m, d)[0] - v_mp).max() <= 1e-14 * np.abs(v_mp).max()
 
 
 class TestStability:

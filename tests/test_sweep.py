@@ -274,6 +274,12 @@ class TestFigurePresets:
         with pytest.raises(ValidationError):
             with_resolution(spec, (5,))
 
+    @pytest.mark.parametrize("count", [3.7, "5"])
+    def test_with_resolution_refuses_non_integer_counts(self, count):
+        # an int() of the count once turned 3.7 into 3 and "5" into 5
+        with pytest.raises(ValidationError, match="axes.count: must be an integer"):
+            with_resolution(figure_preset("fig4a"), (count, 4))
+
 
 class TestSerialization:
     def test_csv_shape_and_header(self, tmp_path):
@@ -328,6 +334,24 @@ class TestSerialization:
         payload["columns"] = payload["columns"][::-1]
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValidationError, match="do not match the spec"):
+            read_json(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda payload: payload.pop("spec"), r"lacks the keys \['spec'\]"),
+        (lambda payload: payload.pop("columns"), r"lacks the keys \['columns'\]"),
+        (lambda payload: payload.pop("rows"), r"lacks the keys \['rows'\]"),
+        (lambda payload: payload["rows"].pop(), "1 rows, expected the spec's 2"),
+        (lambda payload: payload["rows"][1].pop(), "row 1 has 2 cells, expected 3"),
+    ], ids=["no spec", "no columns", "no rows", "row count", "row width"])
+    def test_json_that_is_not_its_spec_grid_is_refused(self, tmp_path, damage, message):
+        # each of these loaded before, then failed later as a KeyError or in
+        # grid() or column()
+        path = tmp_path / "grid.json"
+        write_json(run_sweep(small_spec()), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        damage(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError, match=message):
             read_json(path)
 
     def test_json_refuses_nan_cell(self, tmp_path):
