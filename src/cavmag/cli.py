@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 
 from . import sweep as sweep_mod
-from .errors import CavmagError, ConfigError, StabilityError, ValidationError
+from .errors import CavmagError, ConfigError, StabilityError
 from .measures import full_report
 from .model import TWO_PI, PhysicalParams, default_params
 from .sweep import (
@@ -285,10 +285,7 @@ def _load_sweep_spec(path: str, params_over: dict) -> SweepSpec:
         base = resolve_params(params_over) if params_over else None
         spec = figure_preset(data["preset"], base=base)
     else:
-        try:
-            spec = spec_from_dict(data)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{path}: malformed sweep spec: {exc}")
+        spec = spec_from_dict(data)
         if params_over:
             spec = replace(spec, base=resolve_params(params_over, base=spec.base))
     return spec
@@ -354,9 +351,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -28,7 +28,6 @@ K_B = 1.380649e-23  # J/K
 TWO_PI = 2.0 * np.pi
 
 # Quadrature layout of the 6x6 matrices: magnon first, then the two cavities.
-N_MODES = 3
 MODE_LABELS = ("m", "c1", "c2")
 
 

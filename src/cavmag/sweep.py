@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import numbers
 import os
 import tempfile
@@ -79,7 +78,13 @@ class SweepSpec:
                 problems.append(f"axes.count: must be an integer, got {ax.count!r}")
             elif not ax.count >= 2:
                 problems.append(f"axes.count: must be >= 2, got {ax.count}")
-            if not ax.start < ax.stop:
+            bad = [
+                f"axes.{name}: must be a finite number, got {b!r}"
+                for name, b in (("start", ax.start), ("stop", ax.stop))
+                if isinstance(b, bool) or not isinstance(b, numbers.Real) or not math.isfinite(b)
+            ]
+            problems += bad
+            if not bad and not ax.start < ax.stop:
                 problems.append(
                     f"axes.range: start {ax.start} must be < stop {ax.stop}"
                 )
@@ -170,9 +175,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     of workers; progress(done, total) is called after each chunk. A
     CavmagError at a point, a drift that is not Hurwitz stable included,
     aborts the sweep, re-raised with its type and the point's flat index,
-    grid indices and axis values. A sweep of lambda_max alone evaluates only
-    the drift spectrum and reports the stable flag it computes. The result
-    is independent of the worker count.
+    grid indices and axis values. Any failure in a pool cancels the chunks
+    not yet started and is raised once the running ones end. A sweep of
+    lambda_max alone evaluates only the drift spectrum and reports the
+    stable flag it computes. The result is independent of the worker count.
     """
     total = spec.size
     axis_values = [ax.values() for ax in spec.axes]
@@ -190,16 +196,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     if workers <= 1:
         collect(map(_evaluate_range, tasks))
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
-            try:
-                collect(pool.imap(_evaluate_range, tasks))
-            except CavmagError:
-                # let the workers finish before the pool is torn down: one
-                # terminated while writing a result keeps the result queue's
-                # lock, and the pool's shutdown then waits for it forever
-                pool.close()
-                pool.join()
-                raise
+        # imported here so a serial run does not load multiprocessing (~20 ms)
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            collect(pool.map(_evaluate_range, tasks))
     return SweepResult(spec=spec, rows=rows)
 
 
@@ -446,14 +447,18 @@ def write_csv(result: SweepResult, destination) -> None:
 
 
 def spec_from_dict(data: dict) -> SweepSpec:
-    base = PhysicalParams(**data["base"])
-    axes = tuple(AxisSpec(**ax) for ax in data["axes"])
-    return SweepSpec(
-        base=base,
-        axes=axes,
-        quantities=tuple(data["quantities"]),
-        description=data.get("description", ""),
-    )
+    """Inverse of asdict(spec); a missing key or a malformed field raises ValidationError."""
+    try:
+        return SweepSpec(
+            base=PhysicalParams(**data["base"]),
+            axes=tuple(AxisSpec(**ax) for ax in data["axes"]),
+            quantities=tuple(data["quantities"]),
+            description=data.get("description", ""),
+        )
+    except KeyError as exc:
+        raise ValidationError(f"sweep spec lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise ValidationError(f"malformed sweep spec: {exc}") from exc
 
 
 def write_json(result: SweepResult, destination) -> None:

@@ -226,6 +226,27 @@ class TestSweepCommand:
         assert "axes.count: must be an integer, got 3.5" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"base": {"kappa_1": 1e7, "kappa_2": 1e7, "kappa_m": 1e6},
+          "axes": [{"parameter": "r", "start": "0.2", "stop": "2.2", "count": 3}],
+          "quantities": ["e_n_c1c2"]},
+         "error: invalid sweep spec: axes.start: must be a finite number, got '0.2'; "
+         "axes.stop: must be a finite number, got '2.2'"),
+        ({"base": {"kappa_1": 1e7, "kappa_2": 1e7, "kappa_m": 1e6},
+          "quantities": ["e_n_c1c2"]},
+         "error: sweep spec lacks the key 'axes'"),
+    ], ids=["string bounds", "no axes"])
+    def test_malformed_spec_exits_1_with_one_line(self, capsys, tmp_path, spec, message):
+        # string bounds used to reach numpy and end in a traceback
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "sweep", str(spec_path), "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [message]
+        assert not out_path.exists()
+
     def test_unparseable_spec_exits_1(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("{not json", encoding="utf-8")

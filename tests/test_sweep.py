@@ -1,4 +1,6 @@
 import json
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from cavmag.sweep import (
     write_csv,
     write_json,
 )
-from conftest import KAPPA_C
+from conftest import KAPPA_C, run_python
 
 
 def small_spec(**kwargs):
@@ -57,6 +59,17 @@ class TestSpecValidation:
     def test_non_integer_count_rejected(self, count):
         with pytest.raises(ValidationError, match="axes.count: must be an integer"):
             small_spec(axes=(AxisSpec("r", 0.0, 1.0, count),))
+
+    @pytest.mark.parametrize("start, stop", [
+        ("0.2", "2.2"), ("10", "9"), (0.0, True), (float("nan"), 1.0),
+        (0.0, float("inf")), (None, 1.0),
+    ])
+    def test_non_numeric_or_infinite_bounds_rejected(self, start, stop):
+        # string bounds passed as a string comparison and failed later in
+        # numpy; "10" < "9" holds as strings
+        with pytest.raises(ValidationError, match="must be a finite number") as err:
+            small_spec(axes=(AxisSpec("r", start, stop, 3),))
+        assert "must be < stop" not in str(err.value)
 
     def test_numpy_integer_count_accepted(self, tmp_path):
         spec = small_spec(axes=(AxisSpec("r", 0.0, 1.0, np.int64(3)),))
@@ -191,6 +204,48 @@ class TestRunSweep:
         message = str(info.value)
         assert "synthetic failure" in message
         assert "grid point 4, indices (1, 1): r = 0.5, temperature = 1.0" in message
+
+    def test_parallel_failure_cancels_the_chunks_not_started(self, monkeypatch, tmp_path):
+        # 64 points in 16 chunks of 4; the first point fails at once and
+        # every other point takes 20 ms, so a pool that finished its queued
+        # chunks before raising would evaluate nearly all of them
+        spec = small_spec(axes=(AxisSpec("r", 0.0, 1.0, 64),))
+        log = tmp_path / "evaluated.txt"
+
+        def fail_first(params):
+            if params.r == 0.0:
+                raise PhysicalityError("synthetic failure")
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{params.r!r}\n")
+            time.sleep(0.02)
+            return full_report(params)
+
+        monkeypatch.setattr(sweep_mod, "full_report", fail_first)
+        with pytest.raises(PhysicalityError, match="grid point 0, indices \\(0,\\)"):
+            run_sweep(spec, workers=2)
+        evaluated = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+        assert len(evaluated) < spec.size // 2, len(evaluated)
+
+    def test_parallel_failure_of_any_type_ends_the_sweep(self):
+        # a child process, so a pool that hangs on shutdown fails this test
+        # at the timeout instead of stalling the suite
+        code = textwrap.dedent("""
+            import cavmag.sweep as sweep_mod
+            from cavmag.model import default_params
+            from cavmag.sweep import AxisSpec, SweepSpec, run_sweep
+
+            def fail(params):
+                raise ValueError(f"synthetic failure at r = {params.r}")
+
+            sweep_mod.full_report = fail
+            spec = SweepSpec(base=default_params(),
+                             axes=(AxisSpec("r", 0.0, 1.0, 64),),
+                             quantities=("e_n_c1c2",))
+            run_sweep(spec, workers=2)
+        """)
+        proc = run_python("-c", code)
+        assert proc.returncode == 1, proc.stderr
+        assert "ValueError: synthetic failure at r = " in proc.stderr
 
     def test_progress_reported(self):
         spec = with_resolution(figure_preset("fig4a"), (3, 4))
@@ -342,10 +397,19 @@ class TestSerialization:
         (lambda payload: payload.pop("rows"), r"lacks the keys \['rows'\]"),
         (lambda payload: payload["rows"].pop(), "1 rows, expected the spec's 2"),
         (lambda payload: payload["rows"][1].pop(), "row 1 has 2 cells, expected 3"),
-    ], ids=["no spec", "no columns", "no rows", "row count", "row width"])
+        (lambda payload: payload["spec"].pop("axes"), "sweep spec lacks the key 'axes'"),
+        (lambda payload: payload["spec"]["axes"][0].update(step=0.1),
+         "malformed sweep spec: .*unexpected keyword argument 'step'"),
+        (lambda payload: payload["spec"]["axes"][0].pop("count"),
+         "malformed sweep spec: .*missing 1 required positional argument: 'count'"),
+        (lambda payload: payload["spec"]["base"].update(kappa_3=1.0),
+         "malformed sweep spec: .*unexpected keyword argument 'kappa_3'"),
+        (lambda payload: payload["spec"]["base"].update(r="0.4"), "malformed sweep spec: "),
+    ], ids=["no spec", "no columns", "no rows", "row count", "row width", "no axes",
+            "axis unknown key", "axis missing key", "base unknown field", "base string value"])
     def test_json_that_is_not_its_spec_grid_is_refused(self, tmp_path, damage, message):
-        # each of these loaded before, then failed later as a KeyError or in
-        # grid() or column()
+        # each of these loaded before, or failed later as a KeyError, a
+        # TypeError or in grid() or column()
         path = tmp_path / "grid.json"
         write_json(run_sweep(small_spec()), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
