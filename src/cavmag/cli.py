@@ -153,13 +153,11 @@ def _add_param_flags(parser):
         )
 
 
-def _add_run_flags(parser, default_format="csv"):
+def _add_run_flags(parser):
     parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help=f"output format (default {default_format})")
+    parser.add_argument("--format", help="output format: csv or json (default csv)")
     parser.add_argument("--grid", help="resolution override: N or NxM")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for grid evaluation (default 1)")
+    parser.add_argument("--workers", help="worker processes for grid evaluation (default 1)")
 
 
 def build_parser() -> _Parser:
@@ -215,7 +213,7 @@ def _collect_settings(args) -> tuple[dict, dict]:
 def _run_settings(run: dict, label: str):
     fmt = run.get("format", "csv")
     if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
+        raise ConfigError(f"unknown output format {fmt!r} (expected csv or json)")
     out = run.get("out", f"{label}.{fmt}")
     try:
         workers = int(run.get("workers", 1))

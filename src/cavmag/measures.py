@@ -26,11 +26,6 @@ from .steady_state import StabilityReport
 PHYSICALITY_ATOL = 1e-6
 # Floor below which a residual contangle counts as numerically zero.
 RESIDUAL_FLOOR = -1e-9
-# Relative split sqrt(Dt^2 - 4 det sigma) / Dt of the two partially
-# transposed symplectic eigenvalues below which full_report takes a pair's
-# negativity from its eigenvalues, not from the closed form: there the
-# closed form's error grows as 1e-16 / split.
-MIN_ROOT_SPLIT = 1e-2
 _EPS = float(np.finfo(float).eps)
 
 
@@ -319,6 +314,9 @@ _SPECTRUM_SIGNS = _SPECTRUM_MASKS[:, :, None] * _SPECTRUM_MASKS[:, None, :]
 _PAIR_INDEX = np.array([a.indices + b.indices for _, a, b in _PAIRS])
 _PAIR_A = np.array([int(a) for _, a, _ in _PAIRS])
 _PAIR_B = np.array([int(b) for _, _, b in _PAIRS])
+# diag(J, -J): sigma _PAIR_TWIST sigma has A J C - C J B as its upper right
+# block for a pair CM sigma = [[A, C], [C^T, B]].
+_PAIR_TWIST = np.kron(np.diag([1.0, -1.0]), symplectic_form(1))
 # Steerer mode and position in _PAIRS of each _STEERING_DIRECTIONS entry.
 _STEERER = np.array([int(s) for _, s, _ in _STEERING_DIRECTIONS])
 _DIRECTION_PAIR = np.array([
@@ -339,7 +337,10 @@ def _measures(v):
     4 det sigma)) / 2 with Dt = det A + det B - 2 det C, and Renyi-2 steering
     from a to b is (1/2) ln(det A / (4 det sigma)). These are the values of
     log_negativity and gaussian_steering, which stay the eigenvalue-based
-    reference.
+    reference. The root split comes from the exact identity
+    Dt^2 - 4 det sigma = (det A - det B)^2 - 4 det G, G = A J C - C J B with
+    J = [[0, 1], [-1, 0]]: both terms on the right are small when the pair is
+    weakly correlated, where the left side would cancel half the digits.
 
     V is refused first when eps cond_2(V) exceeds PHYSICALITY_ATOL: rounding
     then moves the measures by more than the Heisenberg slack. At large
@@ -369,12 +370,12 @@ def _measures(v):
     for (_, a, b), det in zip(_PAIRS, det_pairs.tolist()):
         _require_positive_det(det, f"pair ({a.label}, {b.label})")
 
-    delta_pt = (
-        det_blocks[_PAIR_A, _PAIR_A] + det_blocks[_PAIR_B, _PAIR_B]
-        - 2.0 * det_blocks[_PAIR_A, _PAIR_B]
-    )
+    det_a, det_b = det_blocks[_PAIR_A, _PAIR_A], det_blocks[_PAIR_B, _PAIR_B]
+    delta_pt = det_a + det_b - 2.0 * det_blocks[_PAIR_A, _PAIR_B]
+    g = (pair_cms[:, :2] @ _PAIR_TWIST @ pair_cms[:, :, 2:]).reshape(-1, 4)
+    det_g = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
+    split = np.sqrt(np.maximum((det_a - det_b) ** 2 - 4.0 * det_g, 0.0))
     # the rationalized root: (Dt - split) / 2 cancels digits when eta is small
-    split = np.sqrt(np.maximum(delta_pt**2 - 4.0 * det_pairs, 0.0))
     eta_sq = 2.0 * det_pairs / (delta_pt + split)
     # a partially transposed eigenvalue below the rounding error of V can
     # come out as zero; the finiteness test below refuses the infinite
@@ -386,12 +387,6 @@ def _measures(v):
             0.0,
             0.5 * np.log(det_blocks[_STEERER, _STEERER] / (4.0 * det_pairs[_DIRECTION_PAIR])),
         )
-    # Near a double root (nearly pure, weakly correlated pairs such as the
-    # vacuum at r = 0) rounding in Dt^2 - 4 det sigma costs the root half its
-    # digits, so those pairs take the eigenvalue route.
-    for k in np.flatnonzero(split < MIN_ROOT_SPLIT * delta_pt):
-        eta = _pt_min_eigenvalue(pair_cms[k], PT_PAIR, OMEGA_2)
-        e_n_pairs[k] = max(0.0, -math.log(2.0 * eta))
 
     e_n_pairs, e_n_split, zeta = e_n_pairs.tolist(), e_n_one_vs_two.tolist(), steering.tolist()
     if not all(map(math.isfinite, e_n_pairs + e_n_split + zeta)):

@@ -15,6 +15,8 @@ variance 1/2 per quadrature.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,15 +59,16 @@ class PhysicalParams:
     temperature: float = 0.0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            x = getattr(self, f.name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+                raise DomainError(f"{f.name} must be a finite real number, got {x!r}")
         for name in ("kappa_1", "kappa_2", "kappa_m", "omega_m"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("gamma_1", "gamma_2", "r", "temperature"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in (f.name for f in dataclasses.fields(self)):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
 
     @property
     def kappa_c(self) -> float:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import model, steady_state
-from .errors import CavmagError, ValidationError
+from .errors import CavmagError, DomainError, ValidationError
 from .measures import REPORT_COLUMNS, full_report
 from .model import PhysicalParams, default_params
 
@@ -457,7 +457,7 @@ def spec_from_dict(data: dict) -> SweepSpec:
         )
     except KeyError as exc:
         raise ValidationError(f"sweep spec lacks the key {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, DomainError) as exc:
         raise ValidationError(f"malformed sweep spec: {exc}") from exc
 
 

@@ -82,6 +82,20 @@ class TestConfigFile:
         assert code == 1
         assert "workers must be an integer, got 'two'" in err
         assert not out_path.exists()
+        # the flag goes through the same validator as the config key
+        assert run_cli(capsys, "figure", "fig7a", "--grid", "5", "--workers", "two",
+                       "--out", str(out_path)) == (code, "", err)
+        assert not out_path.exists()
+
+    def test_unknown_format_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n", encoding="utf-8")
+        out_path = tmp_path / "out.csv"
+        common = ("figure", "fig7a", "--grid", "5", "--out", str(out_path))
+        expected = (1, "", "error: unknown output format 'xml' (expected csv or json)\n")
+        assert run_cli(capsys, *common, "--config", str(cfg)) == expected
+        assert run_cli(capsys, *common, "--format", "xml") == expected
+        assert not out_path.exists()
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -4,9 +4,10 @@ import math
 import os
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cavmag.measures as measures
@@ -74,6 +75,28 @@ def sideband_params():
     p = default_params()
     kc = p.kappa_c
     return p.replace(delta_m=2 * kc, delta_1=-2 * kc, delta_2=2 * kc)
+
+
+def weak_pair_params(point):
+    """Points whose pairs are nearly pure and weakly correlated."""
+    kc = default_params().kappa_c
+    return {
+        "no squeezing": default_params().replace(r=0.0),
+        "sideband, r = 0.01": sideband_params().replace(r=0.01, temperature=0.0, gamma_2=2 * kc),
+        "resonance, r = 0.05": default_params().replace(
+            r=0.05, temperature=0.0, gamma_1=kc, gamma_2=kc
+        ),
+    }[point]
+
+
+def pair_log_negativity_mp(v4):
+    """Logarithmic negativity of a two-mode CM from its block invariants at 50 digits."""
+    with mpmath.workdps(50):
+        sigma = mpmath.matrix(v4.tolist())
+        a, b, c = sigma[0:2, 0:2], sigma[2:4, 2:4], sigma[0:2, 2:4]
+        delta = mpmath.det(a) + mpmath.det(b) - 2 * mpmath.det(c)
+        eta_sq = (delta - mpmath.sqrt(delta**2 - 4 * mpmath.det(sigma))) / 2
+        return float(max(0, -mpmath.log(4 * eta_sq) / 2))
 
 
 class TestReduce:
@@ -432,6 +455,45 @@ class TestBatchedReport:
                 assert abs(rep.asymmetry[key] - steering_asymmetry(v, a, b)) <= 1e-12
             assert abs(rep.nu_min - symplectic_eigenvalues(v)[0]) <= 1e-12
 
+    @pytest.mark.parametrize("point", ["sideband, r = 0.01", "resonance, r = 0.05"])
+    def test_pair_negativity_matches_50_digit_value(self, point):
+        # weakly correlated pairs: computed as Dt^2 - 4 det sigma, the root
+        # split cancelled, and E_N was off by 1.0e-14 (c1c2 at the sideband
+        # point) and 8.6e-15 (mc1 and mc2 at resonance)
+        p = weak_pair_params(point)
+        rep = full_report(p)
+        v = steady_state_cm(p)
+        for key, a, b in measures._PAIRS:
+            expected = pair_log_negativity_mp(reduce(v, [a, b]))
+            assert abs(rep.e_n[key] - expected) <= 2e-15, key
+
+    @pytest.mark.parametrize("point", ["no squeezing", "sideband, r = 0.01"])
+    def test_no_pair_takes_an_eigen_solve(self, monkeypatch, point):
+        # these pairs once fell back to the 4x4 eigen-solve (3 and 1 of them)
+        def refuse(*args):
+            raise AssertionError("a pair took the eigenvalue route")
+
+        monkeypatch.setattr(measures, "_pt_min_eigenvalue", refuse)
+        full_report(weak_pair_params(point))
+
+    def test_root_split_identity(self, rng):
+        # Dt^2 - 4 det sigma = (det A - det B)^2 - 4 det G, with G the upper
+        # right block of sigma _PAIR_TWIST sigma, A J C - C J B
+        j = mpmath.matrix([[0, 1], [-1, 0]])
+        with mpmath.workdps(50):
+            twist = mpmath.matrix(measures._PAIR_TWIST.tolist())
+            for _ in range(20):
+                a, b = (x + x.T for x in rng.normal(size=(2, 2, 2)))
+                c = rng.normal(size=(2, 2))
+                sigma = mpmath.matrix(np.block([[a, c], [c.T, b]]).tolist())
+                a, b, c = (mpmath.matrix(x.tolist()) for x in (a, b, c))
+                g = (sigma * twist * sigma)[0:2, 2:4]
+                assert g == a * j * c - c * j * b
+                delta = mpmath.det(a) + mpmath.det(b) - 2 * mpmath.det(c)
+                lhs = delta**2 - 4 * mpmath.det(sigma)
+                rhs = (mpmath.det(a) - mpmath.det(b)) ** 2 - 4 * mpmath.det(g)
+                assert abs(lhs - rhs) <= mpmath.mpf(10) ** -45 * (delta**2 + 1)
+
     def test_every_reduced_state_is_physical(self, rng):
         # full_report checks the Heisenberg bound on V alone; every one- and
         # two-mode reduction of a solved V must satisfy it too
@@ -473,6 +535,10 @@ class TestStressDomain:
         r=st.floats(0.0, 3.0),
         temperature=st.floats(0.0, 5.0),
     )
+    # equal decay rates and no detuning: passivity holds with equality, and
+    # the computed lambda_max sits 7.5e-9 rad/s right of -kappa_c
+    @example(kappa_2=1.0, kappa_m=1.0, gamma_1=1.0, gamma_2=1.0,
+             delta_1=0.0, delta_2=0.0, delta_m=0.0, r=0.4, temperature=0.02)
     def test_solves_finite_and_physical(self, r, temperature, **rates):
         p = default_params().replace(
             r=r, temperature=temperature, **{k: x * KAPPA_C for k, x in rates.items()}

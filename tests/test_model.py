@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,13 @@ class TestPhysicalParams:
             default_params().replace(temperature=-0.01)
         with pytest.raises(DomainError):
             default_params().replace(delta_1=np.inf)
+        # a string once failed the sign check as a bare TypeError naming no
+        # field, and True was taken as 1
+        for name, value in [("r", "0.4"), ("r", None), ("r", 1 + 1j), ("r", True),
+                            ("kappa_1", "5e6"), ("temperature", False)]:
+            message = f"{name} must be a finite real number, got {value!r}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                default_params().replace(**{name: value})
 
     def test_defaults(self):
         p = default_params()

@@ -404,7 +404,8 @@ class TestSerialization:
          "malformed sweep spec: .*missing 1 required positional argument: 'count'"),
         (lambda payload: payload["spec"]["base"].update(kappa_3=1.0),
          "malformed sweep spec: .*unexpected keyword argument 'kappa_3'"),
-        (lambda payload: payload["spec"]["base"].update(r="0.4"), "malformed sweep spec: "),
+        (lambda payload: payload["spec"]["base"].update(r="0.4"),
+         "malformed sweep spec: r must be a finite real number, got '0.4'"),
     ], ids=["no spec", "no columns", "no rows", "row count", "row width", "no axes",
             "axis unknown key", "axis missing key", "base unknown field", "base string value"])
     def test_json_that_is_not_its_spec_grid_is_refused(self, tmp_path, damage, message):
