@@ -219,8 +219,6 @@ def _run_settings(run: dict, label: str):
         workers = int(run.get("workers", 1))
     except ValueError:
         raise ConfigError(f"workers must be an integer, got {run['workers']!r}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = _parse_grid(run["grid"]) if "grid" in run else None
     return out, fmt, workers, grid
 

@@ -84,7 +84,7 @@ _PAIRS = (
     ("mc1", Mode.MAGNON, Mode.CAVITY_1),
     ("mc2", Mode.MAGNON, Mode.CAVITY_2),
 )
-# The two directions of each _PAIRS entry in turn: full_report takes each
+# The two directions of each _PAIRS entry in turn: _measures takes each
 # pair's steering asymmetry from consecutive entries.
 _STEERING_DIRECTIONS = (
     ("c1|c2", Mode.CAVITY_1, Mode.CAVITY_2),
@@ -305,7 +305,7 @@ class CorrelationReport:
         return {**self.values, "stable": self.stable}
 
 
-# Stacked sign masks for the batched spectra of full_report: all ones (the
+# Stacked sign masks for the batched spectra of _measures: all ones (the
 # symplectic spectrum of V itself), then the one-vs-two partial transposes in
 # Mode order.
 _SPECTRUM_MASKS = np.array([np.ones(6)] + [PT_ONE_VS_TWO[mode] for mode in Mode])
@@ -317,6 +317,10 @@ _PAIR_B = np.array([int(b) for _, _, b in _PAIRS])
 # diag(J, -J): sigma _PAIR_TWIST sigma has A J C - C J B as its upper right
 # block for a pair CM sigma = [[A, C], [C^T, B]].
 _PAIR_TWIST = np.kron(np.diag([1.0, -1.0]), symplectic_form(1))
+# Positions in _PAIRS of the two pairs holding each mode, in Mode order.
+_HOLDING_PAIRS = np.array([
+    [k for k, (_, a, b) in enumerate(_PAIRS) if mode in (a, b)] for mode in Mode
+])
 # Steerer mode and position in _PAIRS of each _STEERING_DIRECTIONS entry.
 _STEERER = np.array([int(s) for _, s, _ in _STEERING_DIRECTIONS])
 _DIRECTION_PAIR = np.array([
@@ -325,22 +329,22 @@ _DIRECTION_PAIR = np.array([
 ])
 
 
-def _measures(v):
-    """Every measure of a stationary CM from a handful of batched calls.
+def _measures(v) -> np.ndarray:
+    """The report row of a stationary CM, all but lambda_max, as one array.
 
-    Returns (nu_min, pairwise E_N, one-vs-two E_N, steering) as floats and
-    lists in _PAIRS, Mode and _STEERING_DIRECTIONS order. One Heisenberg
-    check on V covers every reduced state, since each reduction of a physical
-    CM is physical. The two-mode quantities come from block invariants of
-    each pair CM sigma = [[A, C], [C^T, B]]: its smallest partially
-    transposed symplectic eigenvalue solves eta^2 = (Dt - sqrt(Dt^2 -
-    4 det sigma)) / 2 with Dt = det A + det B - 2 det C, and Renyi-2 steering
-    from a to b is (1/2) ln(det A / (4 det sigma)). These are the values of
-    log_negativity and gaussian_steering, which stay the eigenvalue-based
-    reference. The root split comes from the exact identity
-    Dt^2 - 4 det sigma = (det A - det B)^2 - 4 det G, G = A J C - C J B with
-    J = [[0, 1], [-1, 0]]: both terms on the right are small when the pair is
-    weakly correlated, where the left side would cancel half the digits.
+    One Heisenberg check on V covers every reduced state: with delta =
+    PHYSICALITY_ATOL and nu_min >= 1/2 - delta,
+    V + i (1/2 - delta) Omega >= 0, so its principal blocks have
+    det >= (1/2 - delta)^2 per mode and its square per pair, and every
+    logarithm below has a positive argument. The pair measures come from
+    block invariants of sigma = [[A, C], [C^T, B]]:
+    eta^2 = (Dt - sqrt(Dt^2 - 4 det sigma)) / 2 with
+    Dt = det A + det B - 2 det C, and steering from a to b is
+    (1/2) ln(det A / (4 det sigma)), the values of the eigenvalue-based
+    log_negativity and gaussian_steering. The root split uses the exact
+    identity Dt^2 - 4 det sigma = (det A - det B)^2 - 4 det G,
+    G = A J C - C J B, J = [[0, 1], [-1, 0]]: neither term on the right
+    cancels when the pair is weakly correlated.
 
     V is refused first when eps cond_2(V) exceeds PHYSICALITY_ATOL: rounding
     then moves the measures by more than the Heisenberg slack. At large
@@ -365,11 +369,6 @@ def _measures(v):
     )
     pair_cms = v[_PAIR_INDEX[:, :, None], _PAIR_INDEX[:, None, :]]
     det_pairs = np.linalg.det(pair_cms)
-    for mode, det in zip(Mode, det_blocks.diagonal().tolist()):
-        _require_positive_det(det, f"reduced block of {mode.label}")
-    for (_, a, b), det in zip(_PAIRS, det_pairs.tolist()):
-        _require_positive_det(det, f"pair ({a.label}, {b.label})")
-
     det_a, det_b = det_blocks[_PAIR_A, _PAIR_A], det_blocks[_PAIR_B, _PAIR_B]
     delta_pt = det_a + det_b - 2.0 * det_blocks[_PAIR_A, _PAIR_B]
     g = (pair_cms[:, :2] @ _PAIR_TWIST @ pair_cms[:, :, 2:]).reshape(-1, 4)
@@ -381,17 +380,23 @@ def _measures(v):
     # come out as zero; the finiteness test below refuses the infinite
     # negativity, so numpy is not let warn of it
     with np.errstate(divide="ignore", invalid="ignore"):
-        e_n_one_vs_two = np.maximum(0.0, -np.log(2.0 * spectra[1:].min(axis=1)))
+        e_n_split = np.maximum(0.0, -np.log(2.0 * spectra[1:].min(axis=1)))
         e_n_pairs = np.maximum(0.0, -0.5 * np.log(4.0 * eta_sq))
-        steering = np.maximum(
+        zeta = np.maximum(
             0.0,
             0.5 * np.log(det_blocks[_STEERER, _STEERER] / (4.0 * det_pairs[_DIRECTION_PAIR])),
         )
 
-    e_n_pairs, e_n_split, zeta = e_n_pairs.tolist(), e_n_one_vs_two.tolist(), steering.tolist()
-    if not all(map(math.isfinite, e_n_pairs + e_n_split + zeta)):
+    # each focus mode's contangle less those of the two pairs holding it
+    residuals = e_n_split**2 - (e_n_pairs**2)[_HOLDING_PAIRS].sum(axis=1)
+    row = np.concatenate([  # in _LAYOUT order
+        e_n_pairs, [e_n_pairs[1:].max()], e_n_split,
+        residuals, [_clamp_residual(residuals.min())],
+        zeta, np.abs(zeta[::2] - zeta[1::2]), [nu_min],
+    ])
+    if not np.isfinite(row).all():
         raise NumericalError("a correlation measure is not finite")
-    return nu_min, e_n_pairs, e_n_split, zeta
+    return row
 
 
 def full_report(p: PhysicalParams) -> CorrelationReport:
@@ -399,23 +404,8 @@ def full_report(p: PhysicalParams) -> CorrelationReport:
     try:
         m = model.drift_matrix(p)
         v, report = steady_state.solve_lyapunov(m, model.diffusion_matrix(p))
-        nu_min, e_n_pairs, e_n_split, zeta = _measures(v)
+        row = _measures(v)
     except CavmagError as exc:
         raise type(exc)(f"{exc} [at parameter point {p}]") from exc
-    # each focus mode's contangle less those of the two pairs holding it
-    residuals = [
-        x**2 - sum(e**2 for e, (_, a, b) in zip(e_n_pairs, _PAIRS) if mode in (a, b))
-        for mode, x in zip(Mode, e_n_split)
-    ]
-    row = (  # in _LAYOUT order
-        *e_n_pairs,
-        max(e_n_pairs[1:]),
-        *e_n_split,
-        *residuals,
-        _clamp_residual(min(residuals)),
-        *zeta,
-        *(abs(ab - ba) for ab, ba in zip(zeta[::2], zeta[1::2])),
-        nu_min,
-        report.max_real_part,
-    )
-    return CorrelationReport(p, report, dict(zip(REPORT_COLUMNS, row, strict=True)))
+    values = dict(zip(REPORT_COLUMNS, [*row.tolist(), report.max_real_part], strict=True))
+    return CorrelationReport(p, report, values)

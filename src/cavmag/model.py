@@ -63,6 +63,9 @@ class PhysicalParams:
             x = getattr(self, f.name)
             if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
                 raise DomainError(f"{f.name} must be a finite real number, got {x!r}")
+            if type(x) is not float:
+                # a Fraction or an integer would reach numpy as an object or int
+                object.__setattr__(self, f.name, float(x))
         for name in ("kappa_1", "kappa_2", "kappa_m", "omega_m"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")

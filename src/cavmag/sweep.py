@@ -172,7 +172,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     """Evaluate the sweep grid, optionally across worker processes.
 
     The grid is split into row-major chunks, evaluated in turn or by a pool
-    of workers; progress(done, total) is called after each chunk. A
+    of workers (an integer >= 1, checked before any point is evaluated);
+    progress(done, total) is called after each chunk. A
     CavmagError at a point, a drift that is not Hurwitz stable included,
     aborts the sweep, re-raised with its type and the point's flat index,
     grid indices and axis values. Any failure in a pool cancels the chunks
@@ -180,9 +181,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     lambda_max alone evaluates only the drift spectrum and reports the
     stable flag it computes. The result is independent of the worker count.
     """
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+        raise ValidationError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     total = spec.size
     axis_values = [ax.values() for ax in spec.axes]
-    n_chunks = min(total, max(workers, 1) * 8)
+    n_chunks = min(total, workers * 8)
     bounds = [total * k // n_chunks for k in range(n_chunks + 1)]
     tasks = [(spec, axis_values, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     rows = []
@@ -193,7 +198,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
             if progress is not None:
                 progress(len(rows), total)
 
-    if workers <= 1:
+    if workers == 1:
         collect(map(_evaluate_range, tasks))
     else:
         # imported here so a serial run does not load multiprocessing (~20 ms)

@@ -8,6 +8,7 @@ import pytest
 
 from cavmag import measures
 from cavmag.model import default_params
+from cavmag.sweep import figure_preset, run_sweep, with_resolution
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -37,3 +38,16 @@ def test_full_report_solves_the_drift_spectrum_once():
             measures.full_report(default_params().replace(r=r))
     assert tracer.counts["steady_state.stability"] == 3
     assert tracer.counts["numerics.eig_general"] == 3
+
+
+def test_traced_serial_sweep_counts_each_layer():
+    # the per-layer figures are counted through these names: a point of a
+    # two-axis grid builds its parameters twice, then one report and one row
+    spec = with_resolution(figure_preset("fig4a"), (3, 3))
+    with tracing.Tracer() as tracer:
+        run_sweep(spec, workers=1)
+    assert tracer.counts["measures.full_report"] == 9
+    assert tracer.counts["model.params"] == 18
+    assert tracer.counts["measures.as_dict"] == 9
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["measures.full_report_us"] > 0.0

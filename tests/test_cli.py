@@ -87,6 +87,17 @@ class TestConfigFile:
                        "--out", str(out_path)) == (code, "", err)
         assert not out_path.exists()
 
+    def test_zero_workers_exits_1(self, capsys, tmp_path):
+        # the sweep refuses the count; the command line adds no check of its own
+        out_path = tmp_path / "out.csv"
+        common = ("figure", "fig7a", "--grid", "5", "--out", str(out_path))
+        expected = (1, "", "error: workers must be >= 1, got 0\n")
+        assert run_cli(capsys, *common, "--workers", "0") == expected
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 0\n", encoding="utf-8")
+        assert run_cli(capsys, *common, "--config", str(cfg)) == expected
+        assert not out_path.exists()
+
     def test_unknown_format_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format = xml\n", encoding="utf-8")

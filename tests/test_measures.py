@@ -7,6 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -493,6 +494,40 @@ class TestBatchedReport:
                 lhs = delta**2 - 4 * mpmath.det(sigma)
                 rhs = (mpmath.det(a) - mpmath.det(b)) ** 2 - 4 * mpmath.det(g)
                 assert abs(lhs - rhs) <= mpmath.mpf(10) ** -45 * (delta**2 + 1)
+
+    def test_no_determinant_check_is_reached_at_golden_points(self, monkeypatch):
+        # the Heisenberg check on V bounds every determinant whose logarithm
+        # the report takes, so no production path checks its sign again
+        def refuse(det_value, context):
+            raise AssertionError(f"determinant check reached for {context}")
+
+        monkeypatch.setattr(measures, "_require_positive_det", refuse)
+        with open(GOLDEN_REPORT, encoding="utf-8") as handle:
+            points = json.load(handle)["points"]
+        for entry in points:
+            if not entry.get("forced_unstable"):
+                full_report(PhysicalParams(**entry["params"]))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        h=st.lists(st.floats(-0.5, 0.5), min_size=21, max_size=21),
+        nu=st.lists(st.floats(0.5, 3.0), min_size=3, max_size=3),
+    )
+    # the vacuum, and a pure state squeezed on the magnon alone: every
+    # bound holds with equality
+    @example(h=[0.0] * 21, nu=[0.5] * 3)
+    @example(h=[0.5, 0.5] + [0.0] * 19, nu=[0.5] * 3)
+    def test_heisenberg_bound_implies_positive_determinants(self, h, nu):
+        # every physical CM is S diag(nu1, nu1, nu2, nu2, nu3, nu3) S^T with S
+        # symplectic and nu >= 1/2; S = exp(Omega H) for a symmetric H
+        upper = np.zeros((6, 6))
+        upper[np.triu_indices(6)] = h
+        s = scipy.linalg.expm(measures.OMEGA_3 @ (upper + np.triu(upper, 1).T))
+        v = s @ np.diag(np.repeat(nu, 2)) @ s.T
+        for mode in Mode:
+            assert np.linalg.det(reduce(v, [mode])) >= 0.25 * (1.0 - 1e-12), mode
+        for key, a, b in measures._PAIRS:
+            assert np.linalg.det(reduce(v, [a, b])) >= 0.0625 * (1.0 - 1e-12), key
 
     def test_every_reduced_state_is_physical(self, rng):
         # full_report checks the Heisenberg bound on V alone; every one- and

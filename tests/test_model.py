@@ -1,10 +1,11 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cavmag.errors import DomainError
-from cavmag.measures import symplectic_form
+from cavmag.measures import full_report, symplectic_form
 from cavmag.model import (
     TWO_PI,
     default_params,
@@ -98,6 +99,15 @@ class TestPhysicalParams:
             message = f"{name} must be a finite real number, got {value!r}"
             with pytest.raises(DomainError, match=re.escape(message)):
                 default_params().replace(**{name: value})
+
+    def test_fields_are_stored_as_floats(self):
+        # a Fraction once passed validation and then failed in np.sinh as a
+        # bare TypeError
+        for value in (Fraction(2, 5), 1, np.float64(0.4), np.int64(2)):
+            p = default_params().replace(r=value)
+            assert type(p.r) is float and p.r == float(value)
+        fraction = full_report(default_params().replace(r=Fraction(2, 5)))
+        assert fraction.values == full_report(default_params().replace(r=0.4)).values
 
     def test_defaults(self):
         p = default_params()

@@ -1,4 +1,5 @@
 import json
+import re
 import textwrap
 import time
 
@@ -151,6 +152,28 @@ class TestRunSweep:
         parallel = run_sweep(spec, workers=2)
         assert serial.rows == parallel.rows
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "workers, message",
+        [
+            (0, "workers must be >= 1, got 0"),
+            (-1, "workers must be >= 1, got -1"),
+            (2.5, "workers must be an integer, got 2.5"),
+            (True, "workers must be an integer, got True"),
+        ],
+    )
+    def test_invalid_worker_count_is_refused_before_any_point(
+        self, monkeypatch, workers, message
+    ):
+        # 0 and -1 once ran serially, 2.5 failed as a bare TypeError and
+        # True ran as one worker
+        def refuse(params):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(sweep_mod, "full_report", refuse)
+        spec = with_resolution(figure_preset("fig4a"), (3, 3))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run_sweep(spec, workers=workers)
 
     def test_stability_map_skips_the_steady_state(self, monkeypatch):
         spec = with_resolution(figure_preset("fig8a"), (9, 9))
