@@ -305,11 +305,12 @@ class CorrelationReport:
         return {**self.values, "stable": self.stable}
 
 
-# Stacked sign masks for the batched spectra of _measures: all ones (the
-# symplectic spectrum of V itself), then the one-vs-two partial transposes in
-# Mode order.
+# P Omega P for the stacked spectra of _measures, P = diag(mask): the identity
+# mask (the symplectic spectrum of V itself), then the one-vs-two partial
+# transposes in Mode order. P Omega P V = P (Omega P V P) P has the spectrum
+# of Omega times the partially transposed V.
 _SPECTRUM_MASKS = np.array([np.ones(6)] + [PT_ONE_VS_TWO[mode] for mode in Mode])
-_SPECTRUM_SIGNS = _SPECTRUM_MASKS[:, :, None] * _SPECTRUM_MASKS[:, None, :]
+_SPECTRUM_FORMS = _SPECTRUM_MASKS[:, :, None] * OMEGA_3 * _SPECTRUM_MASKS[:, None, :]
 # Quadrature indices and mode numbers of each _PAIRS entry.
 _PAIR_INDEX = np.array([a.indices + b.indices for _, a, b in _PAIRS])
 _PAIR_A = np.array([int(a) for _, a, _ in _PAIRS])
@@ -327,6 +328,10 @@ _DIRECTION_PAIR = np.array([
     next(k for k, (_, a, b) in enumerate(_PAIRS) if {a, b} == {s, t})
     for _, s, t in _STEERING_DIRECTIONS
 ])
+# Factors of the logarithms of _measures: E_N = -ln(2 eta) for the three
+# one-vs-two splits, E_N = -(1/2) ln(4 eta^2) for the three pairs, and
+# zeta = (1/2) ln(det A / (4 det sigma)) for the six steering directions.
+_LOG_SCALES = np.array([-1.0] * 3 + [-0.5] * 3 + [0.5] * 6)
 
 
 def _measures(v) -> np.ndarray:
@@ -346,6 +351,12 @@ def _measures(v) -> np.ndarray:
     G = A J C - C J B, J = [[0, 1], [-1, 0]]: neither term on the right
     cancels when the pair is weakly correlated.
 
+    Each stage is one array operation for all its measures: one eigen-solve
+    of the stacked _SPECTRUM_FORMS @ V gives the symplectic spectrum of V
+    and of its three one-vs-two partial transposes, one sort gives nu_min
+    and the smallest eigenvalue of each split, and one logarithm, scaled by
+    _LOG_SCALES, gives the six negativities and the six steering values.
+
     V is refused first when eps cond_2(V) exceeds PHYSICALITY_ATOL: rounding
     then moves the measures by more than the Heisenberg slack. At large
     squeezing (from r = 5.56 at default_params) even the exact V of the
@@ -359,9 +370,9 @@ def _measures(v) -> np.ndarray:
             f"covariance matrix too ill-conditioned for its measures "
             f"(eps * cond(V) = {_EPS * cond:.3e} > {PHYSICALITY_ATOL:g})"
         )
-    spectra = np.abs(np.linalg.eigvals(OMEGA_3 @ (v * _SPECTRUM_SIGNS)).imag)
+    spectra = np.sort(np.abs(np.linalg.eigvals(_SPECTRUM_FORMS @ v).imag))
     # +/- i nu pairs: the second-smallest modulus is the smallest nu
-    nu_min = _require_heisenberg(float(np.sort(spectra[0])[1]))
+    nu_min = _require_heisenberg(float(spectra[0, 1]))
 
     blocks = v.reshape(3, 2, 3, 2)
     det_blocks = (
@@ -376,16 +387,17 @@ def _measures(v) -> np.ndarray:
     split = np.sqrt(np.maximum((det_a - det_b) ** 2 - 4.0 * det_g, 0.0))
     # the rationalized root: (Dt - split) / 2 cancels digits when eta is small
     eta_sq = 2.0 * det_pairs / (delta_pt + split)
+    log_args = np.concatenate([
+        2.0 * spectra[1:, 0],
+        4.0 * eta_sq,
+        det_blocks[_STEERER, _STEERER] / (4.0 * det_pairs[_DIRECTION_PAIR]),
+    ])
     # a partially transposed eigenvalue below the rounding error of V can
     # come out as zero; the finiteness test below refuses the infinite
     # negativity, so numpy is not let warn of it
     with np.errstate(divide="ignore", invalid="ignore"):
-        e_n_split = np.maximum(0.0, -np.log(2.0 * spectra[1:].min(axis=1)))
-        e_n_pairs = np.maximum(0.0, -0.5 * np.log(4.0 * eta_sq))
-        zeta = np.maximum(
-            0.0,
-            0.5 * np.log(det_blocks[_STEERER, _STEERER] / (4.0 * det_pairs[_DIRECTION_PAIR])),
-        )
+        logs = np.maximum(0.0, _LOG_SCALES * np.log(log_args))
+    e_n_split, e_n_pairs, zeta = logs[:3], logs[3:6], logs[6:]
 
     # each focus mode's contangle less those of the two pairs holding it
     residuals = e_n_split**2 - (e_n_pairs**2)[_HOLDING_PAIRS].sum(axis=1)

@@ -59,13 +59,15 @@ class PhysicalParams:
     temperature: float = 0.0
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            x = getattr(self, f.name)
-            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
-                raise DomainError(f"{f.name} must be a finite real number, got {x!r}")
-            if type(x) is not float:
-                # a Fraction or an integer would reach numpy as an object or int
-                object.__setattr__(self, f.name, float(x))
+        for name in _FIELD_NAMES:
+            x = getattr(self, name)
+            if type(x) is float and math.isfinite(x):
+                continue
+            value = finite_float(x)
+            if value is None:
+                raise DomainError(f"{name} must be a finite real number, got {x!r}")
+            # a Fraction or an integer would reach numpy as an object or int
+            object.__setattr__(self, name, value)
         for name in ("kappa_1", "kappa_2", "kappa_m", "omega_m"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
@@ -79,7 +81,8 @@ class PhysicalParams:
         return self.kappa_1
 
     def replace(self, **changes) -> "PhysicalParams":
-        return dataclasses.replace(self, **changes)
+        # what dataclasses.replace does, without its per-field bookkeeping
+        return type(self)(**{**self.__dict__, **changes})
 
     def swapped(self) -> "PhysicalParams":
         """Same configuration with the two cavity labels exchanged."""
@@ -91,6 +94,20 @@ class PhysicalParams:
             delta_1=self.delta_2,
             delta_2=self.delta_1,
         )
+
+
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(PhysicalParams))
+
+
+def finite_float(x) -> float | None:
+    """x as a float if it is a finite real number and not a bool, else None."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return None
+    try:
+        x = float(x)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        return None
+    return x if math.isfinite(x) else None
 
 
 def default_params() -> PhysicalParams:
@@ -138,7 +155,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     x = HBAR * omega / (K_B * temperature)
     if x > 700.0:  # exp would overflow; occupation is numerically zero
         return 0.0
-    return 1.0 / np.expm1(x)
+    return 1.0 / math.expm1(x)
 
 
 def noise_moments(r: float, omega_m: float, temperature: float) -> NoiseMoments:
@@ -149,8 +166,9 @@ def noise_moments(r: float, omega_m: float, temperature: float) -> NoiseMoments:
     """
     if r < 0.0:
         raise DomainError(f"r must be non-negative, got {r}")
-    big_n = np.sinh(r) ** 2
-    big_m = np.sinh(r) * np.cosh(r)
+    s = math.sinh(r)
+    big_n = s * s
+    big_m = s * math.cosh(r)
     return NoiseMoments(big_n=big_n, big_m=big_m, n_m=thermal_occupation(omega_m, temperature))
 
 
@@ -184,7 +202,7 @@ def diffusion_matrix(p: PhysicalParams) -> np.ndarray:
     d[0, 0] = d[1, 1] = p.kappa_m * (2.0 * mom.n_m + 1.0)
     d[2, 2] = d[3, 3] = p.kappa_1 * (2.0 * mom.big_n + 1.0)
     d[4, 4] = d[5, 5] = p.kappa_2 * (2.0 * mom.big_n + 1.0)
-    cross = 2.0 * mom.big_m * np.sqrt(p.kappa_1 * p.kappa_2)
+    cross = 2.0 * mom.big_m * math.sqrt(p.kappa_1 * p.kappa_2)
     d[2, 4] = d[4, 2] = cross
     d[3, 5] = d[5, 3] = -cross
     return d

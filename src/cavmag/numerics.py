@@ -33,7 +33,7 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DomainError(f"{name} contains non-finite entries")
     if out.shape[0] != out.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {out.shape}")

@@ -54,7 +54,9 @@ def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
     Returns (v, report), where report is the drift's stability report.
     Refuses unstable drift matrices: the algebraic solution only describes
     the long-time state when m is Hurwitz. v is symmetrized to remove
-    round-off asymmetry and checked against the residual bound.
+    round-off asymmetry and checked against the residual bound; for
+    symmetric v, V M^T is the transpose of M V, so one product gives the
+    residual.
     """
     m = np.asarray(m, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -84,7 +86,8 @@ def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
     v = 0.5 * (v + v.T)
 
     # infinity norms: largest absolute row sum
-    residual = np.abs(m @ v + v @ m.T + d).sum(axis=1).max()
+    mv = m @ v
+    residual = np.abs(mv + mv.T + d).sum(axis=1).max()
     bound = LYAPUNOV_RESIDUAL_RTOL * np.abs(d).sum(axis=1).max()
     if not residual <= bound:
         raise NumericalError(

@@ -21,7 +21,7 @@ import numpy as np
 from . import model, steady_state
 from .errors import CavmagError, DomainError, ValidationError
 from .measures import REPORT_COLUMNS, full_report
-from .model import PhysicalParams, default_params
+from .model import PhysicalParams, default_params, finite_float
 
 # Each axis parameter: the PhysicalParams field it sets, and the base field
 # its grid value multiplies (None for a plain value). Detunings are given in
@@ -81,7 +81,7 @@ class SweepSpec:
             bad = [
                 f"axes.{name}: must be a finite number, got {b!r}"
                 for name, b in (("start", ax.start), ("stop", ax.stop))
-                if isinstance(b, bool) or not isinstance(b, numbers.Real) or not math.isfinite(b)
+                if finite_float(b) is None
             ]
             problems += bad
             if not bad and not ax.start < ax.stop:
@@ -144,9 +144,10 @@ def apply_axis_value(base: PhysicalParams, parameter: str, value: float) -> Phys
 
 
 def _evaluate_index(spec: SweepSpec, axis_values, flat_index: int) -> list:
-    """One output row; axis_values holds each axis's grid values."""
-    coords = np.unravel_index(flat_index, spec.shape)
-    values = [float(grid[i]) for grid, i in zip(axis_values, coords)]
+    """One output row; axis_values holds each axis's grid values as floats."""
+    # row-major: the last axis varies fastest
+    coords = divmod(flat_index, spec.axes[1].count) if len(spec.axes) == 2 else (flat_index,)
+    values = [grid[i] for grid, i in zip(axis_values, coords)]
     try:
         params = spec.base
         for ax, value in zip(spec.axes, values):
@@ -158,8 +159,7 @@ def _evaluate_index(spec: SweepSpec, axis_values, flat_index: int) -> list:
         report = full_report(params).as_dict()
     except CavmagError as exc:
         where = ", ".join(f"{ax.parameter} = {v!r}" for ax, v in zip(spec.axes, values))
-        indices = tuple(int(i) for i in coords)
-        raise type(exc)(f"{exc} [at grid point {flat_index}, indices {indices}: {where}]") from exc
+        raise type(exc)(f"{exc} [at grid point {flat_index}, indices {coords}: {where}]") from exc
     return values + [report[q] for q in spec.quantities] + [report["stable"]]
 
 
@@ -186,7 +186,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     total = spec.size
-    axis_values = [ax.values() for ax in spec.axes]
+    axis_values = [ax.values().tolist() for ax in spec.axes]
     n_chunks = min(total, workers * 8)
     bounds = [total * k // n_chunks for k in range(n_chunks + 1)]
     tasks = [(spec, axis_values, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -93,9 +93,12 @@ class TestPhysicalParams:
         with pytest.raises(DomainError):
             default_params().replace(delta_1=np.inf)
         # a string once failed the sign check as a bare TypeError naming no
-        # field, and True was taken as 1
+        # field, True was taken as 1, and an int or a Fraction beyond the
+        # float range raised a bare OverflowError
         for name, value in [("r", "0.4"), ("r", None), ("r", 1 + 1j), ("r", True),
-                            ("kappa_1", "5e6"), ("temperature", False)]:
+                            ("kappa_1", "5e6"), ("temperature", False),
+                            ("r", 10**400), ("kappa_2", -(10**400)),
+                            ("gamma_1", Fraction(10**400, 3))]:
             message = f"{name} must be a finite real number, got {value!r}"
             with pytest.raises(DomainError, match=re.escape(message)):
                 default_params().replace(**{name: value})

@@ -429,8 +429,13 @@ class TestSerialization:
          "malformed sweep spec: .*unexpected keyword argument 'kappa_3'"),
         (lambda payload: payload["spec"]["base"].update(r="0.4"),
          "malformed sweep spec: r must be a finite real number, got '0.4'"),
+        (lambda payload: payload["spec"]["base"].update(r=10**400),
+         f"malformed sweep spec: r must be a finite real number, got {10**400}$"),
+        (lambda payload: payload["spec"]["axes"][0].update(stop=10**400),
+         f"invalid sweep spec: axes.stop: must be a finite number, got {10**400}$"),
     ], ids=["no spec", "no columns", "no rows", "row count", "row width", "no axes",
-            "axis unknown key", "axis missing key", "base unknown field", "base string value"])
+            "axis unknown key", "axis missing key", "base unknown field", "base string value",
+            "base int beyond float range", "axis int beyond float range"])
     def test_json_that_is_not_its_spec_grid_is_refused(self, tmp_path, damage, message):
         # each of these loaded before, or failed later as a KeyError, a
         # TypeError or in grid() or column()
