@@ -109,7 +109,7 @@ def parse_config_file(path: str) -> tuple[dict, dict]:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -143,64 +143,44 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_param_flags(parser):
-    for field in PARAM_FIELDS:
-        parser.add_argument(
-            f"--{field.replace('_', '-')}",
-            dest=field,
-            metavar="VALUE[:unit]",
-            help=f"override {field} (default unit: {PARAM_FIELDS[field]})",
-        )
-
-
-def _add_run_flags(parser):
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", help="output format: csv or json (default csv)")
-    parser.add_argument("--grid", help="resolution override: N or NxM")
-    parser.add_argument("--workers", help="worker processes for grid evaluation (default 1)")
-
-
 def build_parser() -> _Parser:
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="flat key = value configuration file")
+    for field, unit in PARAM_FIELDS.items():
+        config.add_argument(f"--{field.replace('_', '-')}", dest=field, metavar="VALUE[:unit]",
+                            help=f"override {field} (default unit: {unit})")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--out", help="output file path")
+    run.add_argument("--format", help="output format: csv or json (default csv)")
+    run.add_argument("--grid", help="resolution override: N or NxM")
+    run.add_argument("--workers", help="worker processes for grid evaluation (default 1)")
+
     parser = _Parser(prog="cavmag", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_point = sub.add_parser("point", help="correlation report at one parameter point")
-    p_point.add_argument("--config", help="flat key = value configuration file")
-    _add_param_flags(p_point)
-
-    p_sweep = sub.add_parser("sweep", help="run a sweep described by a JSON spec file")
+    sub.add_parser("point", parents=[config], help="correlation report at one parameter point")
+    p_sweep = sub.add_parser("sweep", parents=[config, run],
+                             help="run a sweep described by a JSON spec file")
     p_sweep.add_argument("spec_file", help="JSON sweep spec, or {\"preset\": \"fig4a\"}")
-    p_sweep.add_argument("--config", help="flat key = value configuration file")
-    _add_param_flags(p_sweep)
-    _add_run_flags(p_sweep)
-
-    p_fig = sub.add_parser("figure", help="regenerate a named figure grid")
+    p_fig = sub.add_parser("figure", parents=[config, run], help="regenerate a named figure grid")
     p_fig.add_argument("figure_id", help=f"one of: {', '.join(FIGURE_IDS)}")
-    p_fig.add_argument("--config", help="flat key = value configuration file")
-    _add_param_flags(p_fig)
-    _add_run_flags(p_fig)
-
-    p_stab = sub.add_parser("stability", help="drift-spectrum stability scan")
+    p_stab = sub.add_parser("stability", parents=[config, run],
+                            help="drift-spectrum stability scan")
     p_stab.add_argument("--axes", default="delta_1,delta_2",
                         help="one or two axis parameters, comma separated")
     p_stab.add_argument("--window", default="-10:10",
                         help="axis window lo:hi in axis units; use --window=-10:10 "
                              "for negative bounds (default -10:10)")
-    p_stab.add_argument("--config", help="flat key = value configuration file")
-    _add_param_flags(p_stab)
-    _add_run_flags(p_stab)
-
     return parser
 
 
 def _collect_settings(args) -> tuple[dict, dict]:
     """Merge config file and command-line flags (flags win)."""
     params, run = {}, {}
-    if getattr(args, "config", None):
+    if args.config:
         params, run = parse_config_file(args.config)
     for field in PARAM_FIELDS:
-        value = getattr(args, field, None)
+        value = getattr(args, field)
         if value is not None:
             params[field] = value
     for key in RUN_KEYS:
@@ -271,20 +251,16 @@ def _load_sweep_spec(path: str, params_over: dict) -> SweepSpec:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read spec file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
     if "preset" in data:
-        base = resolve_params(params_over) if params_over else None
-        spec = figure_preset(data["preset"], base=base)
-    else:
-        spec = spec_from_dict(data)
-        if params_over:
-            spec = replace(spec, base=resolve_params(params_over, base=spec.base))
-    return spec
+        return figure_preset(data["preset"], base=resolve_params(params_over))
+    spec = spec_from_dict(data)
+    return replace(spec, base=resolve_params(params_over, base=spec.base))
 
 
 def _run_grid(spec: SweepSpec, run: dict, label: str) -> int:
@@ -306,8 +282,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_figure(args) -> int:
     params_over, run = _collect_settings(args)
-    base = resolve_params(params_over) if params_over else None
-    return _run_grid(figure_preset(args.figure_id, base=base), run, args.figure_id)
+    spec = figure_preset(args.figure_id, base=resolve_params(params_over))
+    return _run_grid(spec, run, args.figure_id)
 
 
 def cmd_stability(args) -> int:

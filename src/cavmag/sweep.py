@@ -220,190 +220,97 @@ _STEERING_ALL = (
     "zeta_c1_c2", "zeta_c2_c1", "zeta_m_c1", "zeta_c1_m", "zeta_m_c2",
     "zeta_c2_m", "zeta_s_c1c2", "e_n_c1c2", "e_n_mc1", "e_n_mc2",
 )
+# cavities on opposite magnon sidebands: delta_m = -delta_1 = delta_2 = 2 kappa_c
+_SIDEBAND = {"delta_m": 2.0, "delta_1": -2.0, "delta_2": 2.0}
+_D1, _D2, _DM = ("delta_1", -6.0, 6.0), ("delta_2", -6.0, 6.0), ("delta_m", -6.0, 6.0)
+_SQUEEZE = ("r", 0.0, 1.0)
+_GAMMA_RATIO = ("gamma_ratio", 0.0, 2.0)
+_COLD = ("temperature", 0.02, 0.52)
 
+# figure id: (fixed detunings in kappa_c, axes as (parameter, start, stop),
+# quantities, description); figure_preset resolves the units on a base.
+_PRESETS = {
+    "fig2a": ({}, (_D1, _D2), _ENTANGLEMENT_CC,
+              "cavity-cavity entanglement vs cavity detunings at "
+              "delta_m = 0 (window [-6, 6] kappa_c)"),
+    "fig2b": ({}, (_D1, _DM), _ENTANGLEMENT_CC,
+              "cavity-cavity entanglement vs cavity-1 and magnon "
+              "detunings at delta_2 = 0 (window [-6, 6] kappa_c)"),
+    "fig2c": ({"delta_m": 2.0}, (_D1, _D2), _ENTANGLEMENT_MC,
+              "cavity-magnon entanglement vs cavity detunings at "
+              "delta_m = 2 kappa_c (window [-6, 6] kappa_c)"),
+    "fig2d": ({"delta_2": 2.0}, (_D1, _DM), _ENTANGLEMENT_MC,
+              "cavity-magnon entanglement vs cavity-1 and magnon "
+              "detunings at delta_2 = 2 kappa_c (window [-6, 6] kappa_c)"),
+    "fig3a": ({}, (_SQUEEZE, _GAMMA_RATIO), _ENTANGLEMENT_CC,
+              "cavity-cavity entanglement vs squeezing and coupling "
+              "mismatch at resonance (gamma_1 fixed)"),
+    "fig3b": (_SIDEBAND, (_SQUEEZE, _GAMMA_RATIO), _ENTANGLEMENT_MC,
+              "cavity-magnon entanglement vs squeezing and coupling "
+              "mismatch on the sideband configuration (gamma_1 fixed)"),
+    "fig4a": ({}, (_SQUEEZE, ("temperature", 0.02, 3.02)), _ENTANGLEMENT_CC,
+              "cavity-cavity entanglement vs squeezing and "
+              "temperature at resonance (T window [0.02, 3.02] K)"),
+    "fig4b": (_SIDEBAND, (_SQUEEZE, _COLD), _ENTANGLEMENT_MC,
+              "cavity-magnon entanglement vs squeezing and "
+              "temperature on the sideband configuration "
+              "(T window [0.02, 0.52] K)"),
+    "fig5a": ({"delta_m": 2.0}, (_D1, _D2), _TRIPARTITE,
+              "minimal residual contangle vs cavity detunings at "
+              "delta_m = 2 kappa_c (window [-6, 6] kappa_c)"),
+    "fig5b": ({"delta_2": 2.0}, (_D1, _DM), _TRIPARTITE,
+              "minimal residual contangle vs cavity-1 and magnon "
+              "detunings at delta_2 = 2 kappa_c (window [-6, 6] kappa_c)"),
+    "fig5c": (_SIDEBAND, (_SQUEEZE, _COLD), _TRIPARTITE,
+              "minimal residual contangle vs squeezing and "
+              "temperature on the sideband configuration "
+              "(T window [0.02, 0.52] K)"),
+    "fig5d": (_SIDEBAND, (_SQUEEZE, _GAMMA_RATIO), _TRIPARTITE,
+              "minimal residual contangle vs squeezing and coupling "
+              "mismatch on the sideband configuration (gamma_1 fixed)"),
+    "fig6a": ({}, (_D1, _DM), _STEERING_ALL,
+              "Gaussian steering vs cavity-1 and magnon detunings at "
+              "delta_2 = 0 (window [-6, 6] kappa_c)"),
+    "fig6b": (_SIDEBAND, (_SQUEEZE, _COLD), _STEERING_ALL,
+              "Gaussian steering vs squeezing and temperature on the "
+              "sideband configuration (T window [0.02, 0.52] K)"),
+    "fig6c": (_SIDEBAND, (_SQUEEZE, _GAMMA_RATIO), _STEERING_ALL,
+              "Gaussian steering vs squeezing and coupling mismatch "
+              "on the sideband configuration (gamma_1 fixed)"),
+    "fig7a": ({}, (("gamma_ratio", 0.2, 2.2),), _STEERING_CC,
+              "directional cavity steering and asymmetry vs coupling "
+              "ratio gamma_2/gamma_1 at resonance (window [0.2, 2.2] "
+              "so the grid contains ratio 1; gamma_1 and "
+              "kappa_1 = kappa_2 fixed)"),
+    "fig7b": ({}, (("kappa_ratio", 0.2, 2.2),), _STEERING_CC,
+              "directional cavity steering and asymmetry vs decay "
+              "ratio kappa_2/kappa_1 at resonance (window [0.2, 2.2] "
+              "so the grid contains ratio 1; gamma_2 = gamma_1 fixed)"),
+    "fig8a": ({}, (("delta_1", -10.0, 10.0), ("delta_2", -10.0, 10.0)), ("lambda_max",),
+              "largest real part of the drift spectrum vs cavity "
+              "detunings (window [-10, 10] kappa_c)"),
+    "fig8b": ({}, (("delta_1", -10.0, 10.0), ("delta_m", -10.0, 10.0)), ("lambda_max",),
+              "largest real part of the drift spectrum vs cavity-1 "
+              "and magnon detunings (window [-10, 10] kappa_c)"),
+}
 
-def _sideband(base: PhysicalParams) -> PhysicalParams:
-    # cavities on opposite magnon sidebands: delta_m = -delta_1 = delta_2 = 2 kappa_c
-    kc = base.kappa_c
-    return base.replace(delta_m=2 * kc, delta_1=-2 * kc, delta_2=2 * kc)
-
-
-def _preset_table(base: PhysicalParams) -> dict:
-    kc = base.kappa_c
-    detuning = dict(start=-6.0, stop=6.0)
-    ratio = dict(start=0.0, stop=2.0)
-    squeeze = dict(start=0.0, stop=1.0)
-    cold = dict(start=0.02, stop=0.52)
-    return {
-        "fig2a": dict(
-            base=base,
-            axes=(("delta_1", detuning), ("delta_2", detuning)),
-            quantities=_ENTANGLEMENT_CC,
-            description="cavity-cavity entanglement vs cavity detunings at "
-                        "delta_m = 0 (window [-6, 6] kappa_c)",
-        ),
-        "fig2b": dict(
-            base=base,
-            axes=(("delta_1", detuning), ("delta_m", detuning)),
-            quantities=_ENTANGLEMENT_CC,
-            description="cavity-cavity entanglement vs cavity-1 and magnon "
-                        "detunings at delta_2 = 0 (window [-6, 6] kappa_c)",
-        ),
-        "fig2c": dict(
-            base=base.replace(delta_m=2 * kc),
-            axes=(("delta_1", detuning), ("delta_2", detuning)),
-            quantities=_ENTANGLEMENT_MC,
-            description="cavity-magnon entanglement vs cavity detunings at "
-                        "delta_m = 2 kappa_c (window [-6, 6] kappa_c)",
-        ),
-        "fig2d": dict(
-            base=base.replace(delta_2=2 * kc),
-            axes=(("delta_1", detuning), ("delta_m", detuning)),
-            quantities=_ENTANGLEMENT_MC,
-            description="cavity-magnon entanglement vs cavity-1 and magnon "
-                        "detunings at delta_2 = 2 kappa_c (window [-6, 6] kappa_c)",
-        ),
-        "fig3a": dict(
-            base=base,
-            axes=(("r", squeeze), ("gamma_ratio", ratio)),
-            quantities=_ENTANGLEMENT_CC,
-            description="cavity-cavity entanglement vs squeezing and coupling "
-                        "mismatch at resonance (gamma_1 fixed)",
-        ),
-        "fig3b": dict(
-            base=_sideband(base),
-            axes=(("r", squeeze), ("gamma_ratio", ratio)),
-            quantities=_ENTANGLEMENT_MC,
-            description="cavity-magnon entanglement vs squeezing and coupling "
-                        "mismatch on the sideband configuration (gamma_1 fixed)",
-        ),
-        "fig4a": dict(
-            base=base,
-            axes=(("r", squeeze), ("temperature", dict(start=0.02, stop=3.02))),
-            quantities=_ENTANGLEMENT_CC,
-            description="cavity-cavity entanglement vs squeezing and "
-                        "temperature at resonance (T window [0.02, 3.02] K)",
-        ),
-        "fig4b": dict(
-            base=_sideband(base),
-            axes=(("r", squeeze), ("temperature", cold)),
-            quantities=_ENTANGLEMENT_MC,
-            description="cavity-magnon entanglement vs squeezing and "
-                        "temperature on the sideband configuration "
-                        "(T window [0.02, 0.52] K)",
-        ),
-        "fig5a": dict(
-            base=base.replace(delta_m=2 * kc),
-            axes=(("delta_1", detuning), ("delta_2", detuning)),
-            quantities=_TRIPARTITE,
-            description="minimal residual contangle vs cavity detunings at "
-                        "delta_m = 2 kappa_c (window [-6, 6] kappa_c)",
-        ),
-        "fig5b": dict(
-            base=base.replace(delta_2=2 * kc),
-            axes=(("delta_1", detuning), ("delta_m", detuning)),
-            quantities=_TRIPARTITE,
-            description="minimal residual contangle vs cavity-1 and magnon "
-                        "detunings at delta_2 = 2 kappa_c (window [-6, 6] kappa_c)",
-        ),
-        "fig5c": dict(
-            base=_sideband(base),
-            axes=(("r", squeeze), ("temperature", cold)),
-            quantities=_TRIPARTITE,
-            description="minimal residual contangle vs squeezing and "
-                        "temperature on the sideband configuration "
-                        "(T window [0.02, 0.52] K)",
-        ),
-        "fig5d": dict(
-            base=_sideband(base),
-            axes=(("r", squeeze), ("gamma_ratio", ratio)),
-            quantities=_TRIPARTITE,
-            description="minimal residual contangle vs squeezing and coupling "
-                        "mismatch on the sideband configuration (gamma_1 fixed)",
-        ),
-        "fig6a": dict(
-            base=base,
-            axes=(("delta_1", detuning), ("delta_m", detuning)),
-            quantities=_STEERING_ALL,
-            description="Gaussian steering vs cavity-1 and magnon detunings at "
-                        "delta_2 = 0 (window [-6, 6] kappa_c)",
-        ),
-        "fig6b": dict(
-            base=_sideband(base),
-            axes=(("r", squeeze), ("temperature", cold)),
-            quantities=_STEERING_ALL,
-            description="Gaussian steering vs squeezing and temperature on the "
-                        "sideband configuration (T window [0.02, 0.52] K)",
-        ),
-        "fig6c": dict(
-            base=_sideband(base),
-            axes=(("r", squeeze), ("gamma_ratio", ratio)),
-            quantities=_STEERING_ALL,
-            description="Gaussian steering vs squeezing and coupling mismatch "
-                        "on the sideband configuration (gamma_1 fixed)",
-        ),
-        "fig7a": dict(
-            base=base,
-            axes=(("gamma_ratio", dict(start=0.2, stop=2.2)),),
-            quantities=_STEERING_CC,
-            description="directional cavity steering and asymmetry vs coupling "
-                        "ratio gamma_2/gamma_1 at resonance (window [0.2, 2.2] "
-                        "so the grid contains ratio 1; gamma_1 and "
-                        "kappa_1 = kappa_2 fixed)",
-        ),
-        "fig7b": dict(
-            base=base,
-            axes=(("kappa_ratio", dict(start=0.2, stop=2.2)),),
-            quantities=_STEERING_CC,
-            description="directional cavity steering and asymmetry vs decay "
-                        "ratio kappa_2/kappa_1 at resonance (window [0.2, 2.2] "
-                        "so the grid contains ratio 1; gamma_2 = gamma_1 fixed)",
-        ),
-        "fig8a": dict(
-            base=base,
-            axes=(
-                ("delta_1", dict(start=-10.0, stop=10.0)),
-                ("delta_2", dict(start=-10.0, stop=10.0)),
-            ),
-            quantities=("lambda_max",),
-            description="largest real part of the drift spectrum vs cavity "
-                        "detunings (window [-10, 10] kappa_c)",
-        ),
-        "fig8b": dict(
-            base=base,
-            axes=(
-                ("delta_1", dict(start=-10.0, stop=10.0)),
-                ("delta_m", dict(start=-10.0, stop=10.0)),
-            ),
-            quantities=("lambda_max",),
-            description="largest real part of the drift spectrum vs cavity-1 "
-                        "and magnon detunings (window [-10, 10] kappa_c)",
-        ),
-    }
-
-
-FIGURE_IDS = tuple(sorted(_preset_table(default_params())))
+FIGURE_IDS = tuple(sorted(_PRESETS))
 
 
 def figure_preset(figure_id: str, base: PhysicalParams | None = None) -> SweepSpec:
     """Named sweep preset with the reference parameters and axis windows."""
-    base = default_params() if base is None else base
-    table = _preset_table(base)
-    if figure_id not in table:
+    if not isinstance(figure_id, str) or figure_id not in _PRESETS:
         raise ValidationError(
             f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}"
         )
-    entry = table[figure_id]
-    default_count = DEFAULT_COUNT_1D if len(entry["axes"]) == 1 else DEFAULT_COUNT_2D
-    axes = tuple(
-        AxisSpec(parameter=name, count=default_count, **window)
-        for name, window in entry["axes"]
-    )
+    base = default_params() if base is None else base
+    fixed, axes, quantities, description = _PRESETS[figure_id]
+    count = DEFAULT_COUNT_1D if len(axes) == 1 else DEFAULT_COUNT_2D
     return SweepSpec(
-        base=entry["base"],
-        axes=axes,
-        quantities=entry["quantities"],
-        description=entry["description"],
+        base=base.replace(**{name: x * base.kappa_c for name, x in fixed.items()}),
+        axes=tuple(AxisSpec(name, start, stop, count) for name, start, stop in axes),
+        quantities=quantities,
+        description=description,
     )
 
 
@@ -478,20 +385,29 @@ def write_json(result: SweepResult, destination) -> None:
 
 def read_json(source) -> SweepResult:
     """Inverse of write_json; a file that does not hold its spec's grid raises."""
-    with open(os.fspath(source), encoding="utf-8") as handle:
-        payload = json.load(handle)
+    try:
+        with open(os.fspath(source), encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"grid file is not UTF-8: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"grid file holds a JSON {type(payload).__name__}, not an object")
     missing = [key for key in ("spec", "columns", "rows") if key not in payload]
     if missing:
         raise ValidationError(f"grid file lacks the keys {missing}")
     spec = spec_from_dict(payload["spec"])
-    if tuple(payload["columns"]) != spec.columns:
+    if payload["columns"] != list(spec.columns):
         raise ValidationError(
             f"columns {payload['columns']} do not match the spec's {list(spec.columns)}"
         )
     rows = payload["rows"]
+    if not isinstance(rows, list):
+        raise ValidationError(f"rows must be a list, got {type(rows).__name__}")
     if len(rows) != spec.size:
         raise ValidationError(f"{len(rows)} rows, expected the spec's {spec.size}")
     for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValidationError(f"row {i} must be a list, got {type(row).__name__}")
         if len(row) != len(spec.columns):
             raise ValidationError(
                 f"row {i} has {len(row)} cells, expected {len(spec.columns)}"

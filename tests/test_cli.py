@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cavmag.cli import main, parse_config_file, resolve_params
 from cavmag.errors import ConfigError
 from cavmag.model import TWO_PI, default_params
+from cavmag.sweep import FIGURE_IDS
 from conftest import run_python
 
 
@@ -166,10 +168,15 @@ class TestPointCommand:
 
     def test_malformed_config_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("nonsense = 1\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "point", "--config", str(cfg))
-        assert code == 1
-        assert "nonsense" in err
+        for content, message in [
+            (b"nonsense = 1\n", "unknown key 'nonsense'"),
+            # a byte that is not UTF-8 used to end in a UnicodeDecodeError traceback
+            (b"r = 0.1 \xff\n", "cannot read config file .* can't decode byte 0xff"),
+        ]:
+            cfg.write_bytes(content)
+            code, out, err = run_cli(capsys, "point", "--config", str(cfg))
+            assert (code, out) == (1, ""), content
+            assert len(err.splitlines()) == 1 and re.search(message, err), err
 
     def test_unstable_point_exits_2_without_report(self, capsys, monkeypatch):
         import cavmag.measures as measures
@@ -260,16 +267,22 @@ class TestSweepCommand:
         ({"base": {"kappa_1": 1e7, "kappa_2": 1e7, "kappa_m": 1e6},
           "quantities": ["e_n_c1c2"]},
          "error: sweep spec lacks the key 'axes'"),
-    ], ids=["string bounds", "no axes"])
+        ({"preset": ["fig4a"]},
+         "error: unknown figure id ['fig4a']; valid ids: " + ", ".join(FIGURE_IDS)),
+        (b'{"preset": "fig4a\xff"}',
+         "error: cannot read spec file {path}: 'utf-8' codec can't decode byte 0xff "
+         "in position 17: invalid start byte"),
+    ], ids=["string bounds", "no axes", "preset not a string", "not UTF-8"])
     def test_malformed_spec_exits_1_with_one_line(self, capsys, tmp_path, spec, message):
-        # string bounds used to reach numpy and end in a traceback
+        # string bounds, a list preset and a byte that is not UTF-8 used to
+        # end in a traceback; a spec given as bytes is the whole file
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        spec_path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
         out_path = tmp_path / "out.csv"
         code, out, err = run_cli(capsys, "sweep", str(spec_path), "--out", str(out_path))
         assert code == 1
         assert out == ""
-        assert err.splitlines() == [message]
+        assert err.splitlines() == [message.replace("{path}", str(spec_path))]
         assert not out_path.exists()
 
     def test_unparseable_spec_exits_1(self, capsys, tmp_path):

@@ -293,45 +293,55 @@ class TestFigurePresets:
         with pytest.raises(ValidationError, match="fig2a"):
             figure_preset("fig9z")
 
+    @pytest.mark.parametrize("figure_id", [["fig4a"], {"fig4a": 1}])
+    def test_id_that_is_not_a_string_is_refused(self, figure_id):
+        # a list once ended in a bare TypeError: unhashable type
+        with pytest.raises(ValidationError, match="unknown figure id .*valid ids: fig2a"):
+            figure_preset(figure_id)
+
     def test_preset_fixed_parameter_table(self):
         kc = KAPPA_C
         base = default_params()
-        # (figure id, fixed overrides, axis parameters, leading quantity)
+        sideband = {"delta_m": 2 * kc, "delta_1": -2 * kc, "delta_2": 2 * kc}
+        d1, d2, dm = (("delta_1", -6.0, 6.0, 101), ("delta_2", -6.0, 6.0, 101),
+                      ("delta_m", -6.0, 6.0, 101))
+        r, gamma_ratio = ("r", 0.0, 1.0, 101), ("gamma_ratio", 0.0, 2.0, 101)
+        cold = ("temperature", 0.02, 0.52, 101)
+        cc, mc = ("e_n_c1c2",), ("e_n_mc1", "e_n_mc2", "e_n_mc_max")
+        tripartite = ("r_tau_min", "r_tau_m", "r_tau_c1", "r_tau_c2")
+        steering_cc = ("zeta_c1_c2", "zeta_c2_c1", "zeta_s_c1c2", "e_n_c1c2")
+        steering_all = ("zeta_c1_c2", "zeta_c2_c1", "zeta_m_c1", "zeta_c1_m", "zeta_m_c2",
+                        "zeta_c2_m", "zeta_s_c1c2", "e_n_c1c2", "e_n_mc1", "e_n_mc2")
+        # (figure id, fixed overrides, axes as (parameter, start, stop, count), quantities)
         table = [
-            ("fig2a", {}, ("delta_1", "delta_2"), "e_n_c1c2"),
-            ("fig2b", {}, ("delta_1", "delta_m"), "e_n_c1c2"),
-            ("fig2c", {"delta_m": 2 * kc}, ("delta_1", "delta_2"), "e_n_mc1"),
-            ("fig2d", {"delta_2": 2 * kc}, ("delta_1", "delta_m"), "e_n_mc1"),
-            ("fig3a", {}, ("r", "gamma_ratio"), "e_n_c1c2"),
-            ("fig3b", {"delta_m": 2 * kc, "delta_1": -2 * kc, "delta_2": 2 * kc},
-             ("r", "gamma_ratio"), "e_n_mc1"),
-            ("fig4a", {}, ("r", "temperature"), "e_n_c1c2"),
-            ("fig4b", {"delta_m": 2 * kc, "delta_1": -2 * kc, "delta_2": 2 * kc},
-             ("r", "temperature"), "e_n_mc1"),
-            ("fig5a", {"delta_m": 2 * kc}, ("delta_1", "delta_2"), "r_tau_min"),
-            ("fig5b", {"delta_2": 2 * kc}, ("delta_1", "delta_m"), "r_tau_min"),
-            ("fig5c", {"delta_m": 2 * kc, "delta_1": -2 * kc, "delta_2": 2 * kc},
-             ("r", "temperature"), "r_tau_min"),
-            ("fig5d", {"delta_m": 2 * kc, "delta_1": -2 * kc, "delta_2": 2 * kc},
-             ("r", "gamma_ratio"), "r_tau_min"),
-            ("fig6a", {}, ("delta_1", "delta_m"), "zeta_c1_c2"),
-            ("fig6b", {"delta_m": 2 * kc, "delta_1": -2 * kc, "delta_2": 2 * kc},
-             ("r", "temperature"), "zeta_c1_c2"),
-            ("fig6c", {"delta_m": 2 * kc, "delta_1": -2 * kc, "delta_2": 2 * kc},
-             ("r", "gamma_ratio"), "zeta_c1_c2"),
-            ("fig7a", {}, ("gamma_ratio",), "zeta_c1_c2"),
-            ("fig7b", {}, ("kappa_ratio",), "zeta_c1_c2"),
-            ("fig8a", {}, ("delta_1", "delta_2"), "lambda_max"),
-            ("fig8b", {}, ("delta_1", "delta_m"), "lambda_max"),
+            ("fig2a", {}, (d1, d2), cc),
+            ("fig2b", {}, (d1, dm), cc),
+            ("fig2c", {"delta_m": 2 * kc}, (d1, d2), mc),
+            ("fig2d", {"delta_2": 2 * kc}, (d1, dm), mc),
+            ("fig3a", {}, (r, gamma_ratio), cc),
+            ("fig3b", sideband, (r, gamma_ratio), mc),
+            ("fig4a", {}, (r, ("temperature", 0.02, 3.02, 101)), cc),
+            ("fig4b", sideband, (r, cold), mc),
+            ("fig5a", {"delta_m": 2 * kc}, (d1, d2), tripartite),
+            ("fig5b", {"delta_2": 2 * kc}, (d1, dm), tripartite),
+            ("fig5c", sideband, (r, cold), tripartite),
+            ("fig5d", sideband, (r, gamma_ratio), tripartite),
+            ("fig6a", {}, (d1, dm), steering_all),
+            ("fig6b", sideband, (r, cold), steering_all),
+            ("fig6c", sideband, (r, gamma_ratio), steering_all),
+            ("fig7a", {}, (("gamma_ratio", 0.2, 2.2, 401),), steering_cc),
+            ("fig7b", {}, (("kappa_ratio", 0.2, 2.2, 401),), steering_cc),
+            ("fig8a", {}, (("delta_1", -10.0, 10.0, 101), ("delta_2", -10.0, 10.0, 101)),
+             ("lambda_max",)),
+            ("fig8b", {}, (("delta_1", -10.0, 10.0, 101), ("delta_m", -10.0, 10.0, 101)),
+             ("lambda_max",)),
         ]
         assert sorted(fid for fid, *_ in table) == sorted(FIGURE_IDS)
-        for fid, overrides, axis_names, first_quantity in table:
+        for fid, overrides, axes, quantities in table:
             spec = figure_preset(fid)
             assert spec.base == base.replace(**overrides), fid
-            assert tuple(ax.parameter for ax in spec.axes) == axis_names, fid
-            assert spec.quantities[0] == first_quantity, fid
-            expected_counts = (401,) if len(axis_names) == 1 else (101, 101)
-            assert tuple(ax.count for ax in spec.axes) == expected_counts, fid
+            assert tuple((ax.parameter, ax.start, ax.stop, ax.count) for ax in spec.axes) == axes, fid
+            assert spec.quantities == quantities, fid
 
     def test_detuning_windows(self):
         for fid in ("fig2a", "fig2b", "fig2c", "fig2d", "fig5a", "fig5b", "fig6a"):
@@ -433,17 +443,27 @@ class TestSerialization:
          f"malformed sweep spec: r must be a finite real number, got {10**400}$"),
         (lambda payload: payload["spec"]["axes"][0].update(stop=10**400),
          f"invalid sweep spec: axes.stop: must be a finite number, got {10**400}$"),
+        (lambda payload: payload.update(columns=5), "columns 5 do not match the spec"),
+        (lambda payload: payload.update(rows=None), "rows must be a list, got NoneType"),
+        (lambda payload: payload.update(rows=[1, 2]), "row 0 must be a list, got int"),
+        (b"5", "grid file holds a JSON int, not an object"),
+        (b'{"spec": \xff}', "grid file is not UTF-8: .* can't decode byte 0xff"),
     ], ids=["no spec", "no columns", "no rows", "row count", "row width", "no axes",
             "axis unknown key", "axis missing key", "base unknown field", "base string value",
-            "base int beyond float range", "axis int beyond float range"])
+            "base int beyond float range", "axis int beyond float range",
+            "columns not a list", "rows null", "rows not lists", "not an object", "not UTF-8"])
     def test_json_that_is_not_its_spec_grid_is_refused(self, tmp_path, damage, message):
         # each of these loaded before, or failed later as a KeyError, a
-        # TypeError or in grid() or column()
+        # TypeError, a UnicodeDecodeError or in grid() or column(); a damage
+        # given as bytes is the whole file
         path = tmp_path / "grid.json"
         write_json(run_sweep(small_spec()), path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        damage(payload)
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        if isinstance(damage, bytes):
+            path.write_bytes(damage)
+        else:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            damage(payload)
+            path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValidationError, match=message):
             read_json(path)
 
