@@ -17,25 +17,9 @@ from .errors import (
     PhysicalityError,
     SingularMatrixError,
     StabilityError,
-    StepSizeError,
     ValidationError,
 )
-from .measures import (
-    CorrelationReport,
-    Mode,
-    REPORT_COLUMNS,
-    classify_steering,
-    full_report,
-    gaussian_steering,
-    log_negativity,
-    log_negativity_one_vs_two,
-    min_residual_contangle,
-    reduce,
-    residual_contangle,
-    steering_asymmetry,
-    symplectic_eigenvalues,
-    symplectic_form,
-)
+from .measures import REPORT_COLUMNS, CorrelationReport, full_report
 from .model import (
     NoiseMoments,
     PhysicalParams,
@@ -45,7 +29,6 @@ from .model import (
     noise_moments,
     thermal_occupation,
 )
-from .numerics import eig_general, integrate_lyapunov_ode, solve_linear
 from .steady_state import StabilityReport, solve_lyapunov, stability
 from .sweep import (
     AxisSpec,
@@ -70,7 +53,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "FIGURE_IDS",
-    "Mode",
     "NoiseMoments",
     "NumericalError",
     "PhysicalParams",
@@ -79,33 +61,19 @@ __all__ = [
     "SingularMatrixError",
     "StabilityError",
     "StabilityReport",
-    "StepSizeError",
     "SweepResult",
     "SweepSpec",
     "ValidationError",
-    "classify_steering",
     "default_params",
     "diffusion_matrix",
     "drift_matrix",
-    "eig_general",
     "figure_preset",
     "full_report",
-    "gaussian_steering",
-    "integrate_lyapunov_ode",
-    "log_negativity",
-    "log_negativity_one_vs_two",
-    "min_residual_contangle",
     "noise_moments",
     "read_json",
-    "reduce",
-    "residual_contangle",
     "run_sweep",
-    "solve_linear",
     "solve_lyapunov",
     "stability",
-    "steering_asymmetry",
-    "symplectic_eigenvalues",
-    "symplectic_form",
     "thermal_occupation",
     "with_resolution",
     "write_csv",

@@ -21,10 +21,6 @@ class NumericalError(CavmagError):
     """An iterative kernel failed to converge or violated its residual bound."""
 
 
-class StepSizeError(CavmagError):
-    """A fixed-step integrator was asked to run with an unsafe step."""
-
-
 class StabilityError(CavmagError):
     """The drift matrix is not Hurwitz stable, so no steady state exists."""
 

@@ -79,20 +79,13 @@ PT_ONE_VS_TWO = {
     Mode.CAVITY_2: np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]),
 }
 
+# The three pairs in report order (c1c2, mc1, mc2). Each is also read both
+# ways, a to b then b to a, for the six steering directions, so _measures
+# takes each pair's steering asymmetry from consecutive directions.
 _PAIRS = (
-    ("c1c2", Mode.CAVITY_1, Mode.CAVITY_2),
-    ("mc1", Mode.MAGNON, Mode.CAVITY_1),
-    ("mc2", Mode.MAGNON, Mode.CAVITY_2),
-)
-# The two directions of each _PAIRS entry in turn: _measures takes each
-# pair's steering asymmetry from consecutive entries.
-_STEERING_DIRECTIONS = (
-    ("c1|c2", Mode.CAVITY_1, Mode.CAVITY_2),
-    ("c2|c1", Mode.CAVITY_2, Mode.CAVITY_1),
-    ("m|c1", Mode.MAGNON, Mode.CAVITY_1),
-    ("c1|m", Mode.CAVITY_1, Mode.MAGNON),
-    ("m|c2", Mode.MAGNON, Mode.CAVITY_2),
-    ("c2|m", Mode.CAVITY_2, Mode.MAGNON),
+    (Mode.CAVITY_1, Mode.CAVITY_2),
+    (Mode.MAGNON, Mode.CAVITY_1),
+    (Mode.MAGNON, Mode.CAVITY_2),
 )
 
 
@@ -312,22 +305,16 @@ class CorrelationReport:
 _SPECTRUM_MASKS = np.array([np.ones(6)] + [PT_ONE_VS_TWO[mode] for mode in Mode])
 _SPECTRUM_FORMS = _SPECTRUM_MASKS[:, :, None] * OMEGA_3 * _SPECTRUM_MASKS[:, None, :]
 # Quadrature indices and mode numbers of each _PAIRS entry.
-_PAIR_INDEX = np.array([a.indices + b.indices for _, a, b in _PAIRS])
-_PAIR_A = np.array([int(a) for _, a, _ in _PAIRS])
-_PAIR_B = np.array([int(b) for _, _, b in _PAIRS])
+_PAIR_INDEX = np.array([a.indices + b.indices for a, b in _PAIRS])
+_PAIR_A, _PAIR_B = np.array(_PAIRS, dtype=int).T
 # diag(J, -J): sigma _PAIR_TWIST sigma has A J C - C J B as its upper right
 # block for a pair CM sigma = [[A, C], [C^T, B]].
 _PAIR_TWIST = np.kron(np.diag([1.0, -1.0]), symplectic_form(1))
 # Positions in _PAIRS of the two pairs holding each mode, in Mode order.
-_HOLDING_PAIRS = np.array([
-    [k for k, (_, a, b) in enumerate(_PAIRS) if mode in (a, b)] for mode in Mode
-])
-# Steerer mode and position in _PAIRS of each _STEERING_DIRECTIONS entry.
-_STEERER = np.array([int(s) for _, s, _ in _STEERING_DIRECTIONS])
-_DIRECTION_PAIR = np.array([
-    next(k for k, (_, a, b) in enumerate(_PAIRS) if {a, b} == {s, t})
-    for _, s, t in _STEERING_DIRECTIONS
-])
+_HOLDING_PAIRS = np.array([[k for k, pair in enumerate(_PAIRS) if mode in pair] for mode in Mode])
+# Steerer mode and position in _PAIRS of each steering direction.
+_STEERER = np.array(_PAIRS, dtype=int).ravel()
+_DIRECTION_PAIR = np.repeat(np.arange(3), 2)
 # Factors of the logarithms of _measures: E_N = -ln(2 eta) for the three
 # one-vs-two splits, E_N = -(1/2) ln(4 eta^2) for the three pairs, and
 # zeta = (1/2) ln(det A / (4 det sigma)) for the six steering directions.

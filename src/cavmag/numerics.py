@@ -2,31 +2,19 @@
 
 Everything here operates on small dense real matrices (6x6 system matrices,
 36x36 vectorized solves). The heavy lifting is delegated to LAPACK through
-numpy/scipy; this module adds the validation, error taxonomy and the
-fixed-step Lyapunov integrator used as an independent cross-check of the
-algebraic steady-state solver.
+numpy/scipy; this module adds the validation and the error taxonomy.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    DomainError,
-    NumericalError,
-    SingularMatrixError,
-    StabilityError,
-    StepSizeError,
-)
+from .errors import DimensionError, DomainError, NumericalError, SingularMatrixError
 
 # Relative pivot threshold below which a solve is refused as singular.
 SINGULAR_PIVOT_RTOL = 1e-14
-# Hard cap on ||M||*dt for the fixed-step integrator.
-MAX_STABLE_STEP = 0.1
 
 
 def _as_square(a, name: str = "matrix") -> np.ndarray:
@@ -79,52 +67,3 @@ def solve_linear(a, b) -> np.ndarray:
             f"matrix is singular to working precision (pivot {min_pivot:.3e}, norm {scale:.3e})"
         )
     return lu_solve((lu, piv), rhs, check_finite=False)
-
-
-def integrate_lyapunov_ode(m, d, t_end: float, dt: float) -> np.ndarray:
-    """Integrate dV/dt = m V + V m^T + d from V(0) = 0 up to t_end.
-
-    Classical fixed-step fourth-order Runge-Kutta; the step is shrunk so an
-    integer number of steps lands exactly on t_end. Serves as an independent
-    route to the steady-state covariance for Hurwitz-stable m: the iteration
-    converges to the solution of m V + V m^T + d = 0.
-    """
-    mm = _as_square(m, "m")
-    dd = _as_square(d, "d")
-    if dd.shape != mm.shape:
-        raise DimensionError(f"d has shape {dd.shape}, expected {mm.shape}")
-    if not np.allclose(dd, dd.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(dd).max())):
-        raise DomainError("d must be symmetric")
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    if t_end <= 0.0:
-        raise DomainError(f"t_end must be positive, got {t_end}")
-    spectrum = eig_general(mm)
-    if spectrum.real.max() >= 0.0:
-        raise StabilityError(
-            f"m is not Hurwitz stable (max Re lambda = {spectrum.real.max():.3e}); "
-            "refusing to integrate toward a non-existent steady state"
-        )
-    m_norm = np.linalg.norm(mm, 2)
-    if m_norm * dt > MAX_STABLE_STEP:
-        raise StepSizeError(
-            f"dt = {dt:.3e} is too large for ||m|| = {m_norm:.3e} "
-            f"(||m||*dt = {m_norm * dt:.3f} > {MAX_STABLE_STEP})"
-        )
-
-    n_steps = max(1, math.ceil(t_end / dt))
-    h = t_end / n_steps
-    mt = mm.T
-    v = np.zeros_like(mm)
-
-    def rate(x):
-        return mm @ x + x @ mt + dd
-
-    for _ in range(n_steps):
-        k1 = rate(v)
-        k2 = rate(v + 0.5 * h * k1)
-        k3 = rate(v + 0.5 * h * k2)
-        k4 = rate(v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-    return 0.5 * (v + v.T)

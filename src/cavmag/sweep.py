@@ -384,12 +384,18 @@ def write_json(result: SweepResult, destination) -> None:
 
 
 def read_json(source) -> SweepResult:
-    """Inverse of write_json; a file that does not hold its spec's grid raises."""
+    """Inverse of write_json; a file that does not hold its spec's grid raises.
+
+    A cell must be a bool in the stable column and a finite real number in
+    every other, so NaN, which write_json refuses to write, is refused too.
+    """
     try:
         with open(os.fspath(source), encoding="utf-8") as handle:
             payload = json.load(handle)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"grid file is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"grid file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValidationError(f"grid file holds a JSON {type(payload).__name__}, not an object")
     missing = [key for key in ("spec", "columns", "rows") if key not in payload]
@@ -412,4 +418,11 @@ def read_json(source) -> SweepResult:
             raise ValidationError(
                 f"row {i} has {len(row)} cells, expected {len(spec.columns)}"
             )
+        for column, cell in zip(spec.columns[:-1], row):
+            if finite_float(cell) is None:
+                raise ValidationError(
+                    f"row {i}, column {column!r}: {cell!r} is not a finite real number"
+                )
+        if not isinstance(row[-1], bool):
+            raise ValidationError(f"row {i}, column 'stable': {row[-1]!r} is not a bool")
     return SweepResult(spec=spec, rows=rows)

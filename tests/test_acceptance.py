@@ -26,7 +26,6 @@ from cavmag.model import (
     drift_matrix,
     noise_moments,
 )
-from cavmag.numerics import integrate_lyapunov_ode
 from cavmag.steady_state import solve_lyapunov, stability
 from cavmag.sweep import (
     AxisSpec,
@@ -37,6 +36,7 @@ from cavmag.sweep import (
     write_csv,
 )
 from conftest import random_params
+from oracles import integrate_lyapunov_ode
 from test_measures import tmsv
 from cavmag.measures import log_negativity
 

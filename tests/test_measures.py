@@ -31,6 +31,7 @@ from cavmag.measures import (
 from cavmag.model import PhysicalParams, default_params, diffusion_matrix, drift_matrix
 from cavmag.steady_state import StabilityReport, solve_lyapunov
 from conftest import KAPPA_C, random_params
+from oracles import columns_mp, pair_log_negativity_mp
 
 GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "data", "golden_report.json")
 
@@ -49,6 +50,22 @@ VIEW_COLUMNS = {
         "c2|m": "zeta_c2_m",
     },
     "asymmetry": {"c1c2": "zeta_s_c1c2", "mc1": "zeta_s_mc1", "mc2": "zeta_s_mc2"},
+}
+
+# The modes of each pair key of the report's views, and of each steering
+# direction key, steerer first.
+PAIR_MODES = {
+    "c1c2": (Mode.CAVITY_1, Mode.CAVITY_2),
+    "mc1": (Mode.MAGNON, Mode.CAVITY_1),
+    "mc2": (Mode.MAGNON, Mode.CAVITY_2),
+}
+DIRECTION_MODES = {
+    "c1|c2": (Mode.CAVITY_1, Mode.CAVITY_2),
+    "c2|c1": (Mode.CAVITY_2, Mode.CAVITY_1),
+    "m|c1": (Mode.MAGNON, Mode.CAVITY_1),
+    "c1|m": (Mode.CAVITY_1, Mode.MAGNON),
+    "m|c2": (Mode.MAGNON, Mode.CAVITY_2),
+    "c2|m": (Mode.CAVITY_2, Mode.MAGNON),
 }
 
 # Every numpy.linalg function that calls LAPACK.
@@ -98,6 +115,26 @@ def weak_pair_params(point):
     }[point]
 
 
+# The points of the per-column 50-digit comparison.
+COLUMN_ORACLE_POINTS = {
+    "default": default_params(),
+    "r = 3, T = 2 K": default_params().replace(r=3.0, temperature=2.0),
+    "sideband, T = 0.5 K": sideband_params().replace(temperature=0.5),
+    "stiff corner": default_params().replace(
+        kappa_m=1e-3 * KAPPA_C, gamma_1=30 * KAPPA_C, gamma_2=0.01 * KAPPA_C,
+        kappa_2=1e3 * KAPPA_C,
+    ),
+    "sideband, r = 1": sideband_params().replace(r=1.0),
+    "delta_1 = -6, delta_2 = 6 kappa_c": default_params().replace(
+        delta_1=-6 * KAPPA_C, delta_2=6 * KAPPA_C
+    ),
+    "sideband, r = 0.01": sideband_params().replace(r=0.01),
+    # the cavities steer each other unequally (0.341 and 0.349), which no
+    # other point here does
+    "kappa_2 = 2 kappa_c, r = 1": default_params().replace(kappa_2=2 * KAPPA_C, r=1.0),
+}
+
+
 def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
@@ -142,16 +179,6 @@ SWAPPED_COLUMNS = dict(
     ]
     for pair in ((a, b), (b, a))
 )
-
-
-def pair_log_negativity_mp(v4):
-    """Logarithmic negativity of a two-mode CM from its block invariants at 50 digits."""
-    with mpmath.workdps(50):
-        sigma = mpmath.matrix(v4.tolist())
-        a, b, c = sigma[0:2, 0:2], sigma[2:4, 2:4], sigma[0:2, 2:4]
-        delta = mpmath.det(a) + mpmath.det(b) - 2 * mpmath.det(c)
-        eta_sq = (delta - mpmath.sqrt(delta**2 - 4 * mpmath.det(sigma))) / 2
-        return float(max(0, -mpmath.log(4 * eta_sq) / 2))
 
 
 class TestReduce:
@@ -493,7 +520,7 @@ class TestBatchedReport:
                 p = p.replace(r=float(rng.choice([0.0, 1e-6, 1e-3])), temperature=0.0)
             rep = full_report(p)
             v = steady_state_cm(p)
-            for key, a, b in measures._PAIRS:
+            for key, (a, b) in PAIR_MODES.items():
                 expected = log_negativity(reduce(v, [a, b]))
                 assert abs(rep.e_n[key] - expected) <= 1e-12
             for mode in Mode:
@@ -502,9 +529,9 @@ class TestBatchedReport:
                 expected = residual_contangle(v, mode)
                 assert abs(rep.residuals[mode.label] - expected) <= 1e-12
             assert abs(rep.r_tau_min - min_residual_contangle(v)) <= 1e-12
-            for key, a, b in measures._STEERING_DIRECTIONS:
+            for key, (a, b) in DIRECTION_MODES.items():
                 assert abs(rep.steering[key] - gaussian_steering(v, a, b)) <= 1e-12
-            for key, a, b in measures._PAIRS:
+            for key, (a, b) in PAIR_MODES.items():
                 assert abs(rep.asymmetry[key] - steering_asymmetry(v, a, b)) <= 1e-12
             assert abs(rep.nu_min - symplectic_eigenvalues(v)[0]) <= 1e-12
 
@@ -516,9 +543,38 @@ class TestBatchedReport:
         p = weak_pair_params(point)
         rep = full_report(p)
         v = steady_state_cm(p)
-        for key, a, b in measures._PAIRS:
+        for key, (a, b) in PAIR_MODES.items():
             expected = pair_log_negativity_mp(reduce(v, [a, b]))
             assert abs(rep.e_n[key] - expected) <= 2e-15, key
+
+    @pytest.mark.parametrize("point", COLUMN_ORACLE_POINTS)
+    def test_every_column_matches_50_digit_value(self, point):
+        # E_N = -ln(2 eta) moves by about ||dV|| / eta when V is rounded, so
+        # each negativity is held to 8 eps ||V||_2 / eta, eta from the
+        # 50-digit E_N, and each residual contangle to that bound carried
+        # through its three squares; every other column to 1e-12
+        p = COLUMN_ORACLE_POINTS[point]
+        v = steady_state_cm(p)
+        row = full_report(p).as_dict()
+        exact = columns_mp(v)
+        assert list(exact) == list(measures.REPORT_COLUMNS[:-1])
+        scale = 8.0 * np.finfo(float).eps * np.linalg.norm(v, 2)
+        bound = {
+            column: max(1e-12, scale * 2.0 * math.exp(exact[column]))
+            for column in exact if column.startswith("e_n_")
+        }
+        terms = {
+            "m": ("e_n_m_vs_c1c2", "e_n_mc1", "e_n_mc2"),
+            "c1": ("e_n_c1_vs_mc2", "e_n_mc1", "e_n_c1c2"),
+            "c2": ("e_n_c2_vs_mc1", "e_n_mc2", "e_n_c1c2"),
+        }
+        for mode, columns in terms.items():
+            propagated = sum(2.0 * exact[c] * bound[c] + bound[c] ** 2 for c in columns)
+            bound[f"r_tau_{mode}"] = max(1e-12, propagated)
+        bound["r_tau_min"] = max(bound[f"r_tau_{mode}"] for mode in terms)
+        bound["nu_min"] = 1e-12 * exact["nu_min"]
+        for column, value in exact.items():
+            assert abs(row[column] - value) <= bound.get(column, 1e-12), column
 
     @pytest.mark.parametrize("point", ["no squeezing", "sideband, r = 0.01"])
     def test_no_pair_takes_an_eigen_solve(self, monkeypatch, point):
@@ -600,7 +656,7 @@ class TestBatchedReport:
         v = s @ np.diag(np.repeat(nu, 2)) @ s.T
         for mode in Mode:
             assert np.linalg.det(reduce(v, [mode])) >= 0.25 * (1.0 - 1e-12), mode
-        for key, a, b in measures._PAIRS:
+        for key, (a, b) in PAIR_MODES.items():
             assert np.linalg.det(reduce(v, [a, b])) >= 0.0625 * (1.0 - 1e-12), key
 
     def test_every_reduced_state_is_physical(self, rng):

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from cavmag.errors import (
-    DimensionError,
-    DomainError,
-    SingularMatrixError,
-    StabilityError,
-    StepSizeError,
-)
-from cavmag.numerics import eig_general, integrate_lyapunov_ode, solve_linear
+from cavmag.errors import DimensionError, DomainError, SingularMatrixError
+from cavmag.numerics import eig_general, solve_linear
 from conftest import run_python
 
 
@@ -90,58 +84,3 @@ class TestSolveLinear:
         proc = run_python("-c", "import sys, cavmag; print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
-
-
-class TestIntegrateLyapunovOde:
-    def test_pure_decay_reaches_vacuum(self):
-        kappa = 2.0
-        m = -kappa * np.eye(6)
-        d = kappa * np.eye(6)
-        v = integrate_lyapunov_ode(m, d, t_end=20.0 / kappa, dt=0.01)
-        assert np.allclose(v, 0.5 * np.eye(6), atol=1e-10)
-
-    def test_zero_source_stays_zero(self):
-        m = -np.eye(4)
-        v = integrate_lyapunov_ode(m, np.zeros((4, 4)), t_end=5.0, dt=0.01)
-        assert np.array_equal(v, np.zeros((4, 4)))
-
-    def test_monotone_convergence_in_time(self, rng):
-        a = rng.normal(size=(4, 4))
-        m = a - (np.abs(np.linalg.eigvals(a).real).max() + 1.0) * np.eye(4)
-        c = rng.normal(size=(4, 4))
-        d = c @ c.T
-        # reference: very long integration of the same contraction
-        ref = integrate_lyapunov_ode(m, d, t_end=60.0, dt=0.005)
-        errs = [
-            np.linalg.norm(integrate_lyapunov_ode(m, d, t_end=t, dt=0.005) - ref)
-            for t in (2.0, 4.0, 8.0, 16.0)
-        ]
-        assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
-
-    def test_result_is_symmetric(self, rng):
-        a = rng.normal(size=(6, 6))
-        m = a - (np.abs(np.linalg.eigvals(a).real).max() + 1.0) * np.eye(6)
-        c = rng.normal(size=(6, 6))
-        d = c @ c.T
-        v = integrate_lyapunov_ode(m, d, t_end=10.0, dt=0.005)
-        assert np.abs(v - v.T).max() <= 1e-10
-
-    def test_refuses_unstable_drift(self):
-        with pytest.raises(StabilityError):
-            integrate_lyapunov_ode(np.eye(2), np.eye(2), t_end=1.0, dt=0.001)
-
-    def test_refuses_large_step(self):
-        m = -10.0 * np.eye(2)
-        with pytest.raises(StepSizeError):
-            integrate_lyapunov_ode(m, np.eye(2), t_end=1.0, dt=0.02)
-
-    def test_rejects_bad_inputs(self):
-        m = -np.eye(2)
-        with pytest.raises(DomainError):
-            integrate_lyapunov_ode(m, np.eye(2), t_end=1.0, dt=-0.1)
-        with pytest.raises(DomainError):
-            integrate_lyapunov_ode(m, np.array([[0.0, 1.0], [0.0, 0.0]]), t_end=1.0, dt=0.01)
-        with pytest.raises(DomainError):
-            integrate_lyapunov_ode(m, np.eye(2), t_end=0.0, dt=0.01)
-        with pytest.raises(DimensionError):
-            integrate_lyapunov_ode(m, np.eye(3), t_end=1.0, dt=0.01)

@@ -1,13 +1,12 @@
-import mpmath
 import numpy as np
 import pytest
 
 from cavmag.errors import StabilityError
 from cavmag.measures import symplectic_eigenvalues
 from cavmag.model import default_params, diffusion_matrix, drift_matrix
-from cavmag.numerics import integrate_lyapunov_ode
 from cavmag.steady_state import LYAPUNOV_RESIDUAL_RTOL, solve_lyapunov, stability
 from conftest import KAPPA_C, random_params
+from oracles import integrate_lyapunov_ode, lyapunov_mp
 from test_model import SWAP
 
 
@@ -18,22 +17,6 @@ def ode_reference(p, t_end_factor=12.0):
     dt = 0.09 / np.linalg.norm(m, 2)
     t_end = t_end_factor / min(p.kappa_1, p.kappa_2, p.kappa_m)
     return integrate_lyapunov_ode(m, d, t_end, dt)
-
-
-def lyapunov_mp(m, d):
-    """V from the 36x36 system (I (x) M + M (x) I) vec V = -vec D at 50 digits."""
-    n = m.shape[0]
-    with mpmath.workdps(50):
-        coeff = mpmath.zeros(n * n, n * n)
-        for i in range(n):
-            for k in range(n):
-                # (M V + V M^T)_ik = sum_l M_il V_lk + V_il M_kl
-                for l in range(n):
-                    coeff[i * n + k, l * n + k] += m[i, l]
-                    coeff[i * n + k, i * n + l] += m[k, l]
-        rhs = mpmath.matrix([-x for x in d.reshape(-1).tolist()])
-        vec = mpmath.lu_solve(coeff, rhs)
-        return np.array([float(x) for x in vec]).reshape(n, n)
 
 
 class TestSolveLyapunov:

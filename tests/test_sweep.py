@@ -35,6 +35,13 @@ def small_spec(**kwargs):
     return SweepSpec(**defaults)
 
 
+def set_cell(row, index, value):
+    """A damage to a grid payload: value in one cell."""
+    def damage(payload):
+        payload["rows"][row][index] = value
+    return damage
+
+
 class TestSpecValidation:
     def test_valid_spec(self):
         spec = small_spec()
@@ -448,18 +455,30 @@ class TestSerialization:
         (lambda payload: payload.update(rows=[1, 2]), "row 0 must be a list, got int"),
         (b"5", "grid file holds a JSON int, not an object"),
         (b'{"spec": \xff}', "grid file is not UTF-8: .* can't decode byte 0xff"),
+        (slice(50), "grid file is not valid JSON: Expecting .* \\(char 50\\)"),
+        (set_cell(0, 0, "a"), "row 0, column 'r': 'a' is not a finite real number"),
+        (set_cell(1, 1, True), "row 1, column 'e_n_c1c2': True is not a finite real number"),
+        (set_cell(1, 1, float("nan")),
+         "row 1, column 'e_n_c1c2': nan is not a finite real number"),
+        (set_cell(0, 2, "yes"), "row 0, column 'stable': 'yes' is not a bool"),
+        (set_cell(0, 2, 1), "row 0, column 'stable': 1 is not a bool"),
     ], ids=["no spec", "no columns", "no rows", "row count", "row width", "no axes",
             "axis unknown key", "axis missing key", "base unknown field", "base string value",
             "base int beyond float range", "axis int beyond float range",
-            "columns not a list", "rows null", "rows not lists", "not an object", "not UTF-8"])
+            "columns not a list", "rows null", "rows not lists", "not an object", "not UTF-8",
+            "truncated", "axis cell a string", "quantity cell a bool", "quantity cell NaN",
+            "stable cell a string", "stable cell an int"])
     def test_json_that_is_not_its_spec_grid_is_refused(self, tmp_path, damage, message):
         # each of these loaded before, or failed later as a KeyError, a
-        # TypeError, a UnicodeDecodeError or in grid() or column(); a damage
-        # given as bytes is the whole file
+        # TypeError, a UnicodeDecodeError, a JSONDecodeError or in grid() or
+        # column(); a damage given as bytes is the whole file, and one given
+        # as a slice keeps that part of the written file
         path = tmp_path / "grid.json"
         write_json(run_sweep(small_spec()), path)
         if isinstance(damage, bytes):
             path.write_bytes(damage)
+        elif isinstance(damage, slice):
+            path.write_text(path.read_text(encoding="utf-8")[damage], encoding="utf-8")
         else:
             payload = json.loads(path.read_text(encoding="utf-8"))
             damage(payload)
