@@ -66,18 +66,13 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return out
 
 
-OMEGA_2 = symplectic_form(2)
 OMEGA_3 = symplectic_form(3)
 
 # Partial-transpose sign masks: one -1 on the y quadrature of the transposed
 # mode. Pairwise masks act on a reduced 4x4 CM with the transposed mode first;
 # the tripartite masks act on the global CM for each one-vs-two split.
 PT_PAIR = np.array([1.0, -1.0, 1.0, 1.0])
-PT_ONE_VS_TWO = {
-    Mode.MAGNON: np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]),
-    Mode.CAVITY_1: np.array([1.0, 1.0, 1.0, -1.0, 1.0, 1.0]),
-    Mode.CAVITY_2: np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]),
-}
+PT_ONE_VS_TWO = {mode: np.where(np.arange(6) == mode.indices[1], -1.0, 1.0) for mode in Mode}
 
 # The three pairs in report order (c1c2, mc1, mc2). Each is also read both
 # ways, a to b then b to a, for the six steering directions, so _measures
@@ -121,37 +116,29 @@ def _require_heisenberg(nu_min: float) -> float:
     return nu_min
 
 
-def _check_physical(v) -> float:
-    return _require_heisenberg(float(symplectic_eigenvalues(v)[0]))
+def _pt_negativity(v, mask) -> float:
+    """Logarithmic negativity across a partial transpose: max(0, -ln 2 eta).
 
-
-def _pt_min_eigenvalue(v, mask, omega) -> float:
-    vt = v * np.outer(mask, mask)
-    ev = np.linalg.eigvals(omega @ vt)
-    return float(np.min(np.abs(ev.imag)))
+    eta is the minimum symplectic eigenvalue of V with its quadratures
+    signed by mask; the state is separable, and the measure zero, once
+    2 eta >= 1. V itself must meet the Heisenberg bound.
+    """
+    _require_heisenberg(float(symplectic_eigenvalues(v)[0]))
+    eta = symplectic_eigenvalues(v * np.outer(mask, mask))[0]
+    return max(0.0, -math.log(2.0 * eta))
 
 
 def log_negativity(v4) -> float:
-    """Logarithmic negativity of a two-mode CM: max(0, -ln 2 eta).
-
-    eta is the minimum symplectic eigenvalue of the partially transposed CM;
-    the state is separable, and the measure zero, once 2 eta >= 1.
-    """
+    """Logarithmic negativity of a two-mode CM, the first mode transposed."""
     v4 = np.asarray(v4, dtype=float)
     if v4.shape != (4, 4):
         raise DomainError(f"expected a 4x4 two-mode CM, got shape {v4.shape}")
-    _check_physical(v4)
-    eta = _pt_min_eigenvalue(v4, PT_PAIR, OMEGA_2)
-    return max(0.0, -math.log(2.0 * eta))
+    return _pt_negativity(v4, PT_PAIR)
 
 
 def log_negativity_one_vs_two(v, focus) -> float:
     """Logarithmic negativity across the focus-mode-vs-rest bipartition."""
-    focus = as_mode(focus)
-    v = np.asarray(v, dtype=float)
-    _check_physical(v)
-    eta = _pt_min_eigenvalue(v, PT_ONE_VS_TWO[focus], OMEGA_3)
-    return max(0.0, -math.log(2.0 * eta))
+    return _pt_negativity(v, PT_ONE_VS_TWO[as_mode(focus)])
 
 
 def residual_contangle(v, focus) -> float:
@@ -187,11 +174,6 @@ def _require_positive_det(det_value: float, context: str):
         raise PhysicalityError(f"non-positive determinant ({det_value:.3e}) for {context}")
 
 
-def _renyi2_entropy_arg(det_value: float, context: str) -> float:
-    _require_positive_det(det_value, context)
-    return 0.5 * math.log(det_value)
-
-
 def gaussian_steering(v, steerer, steered) -> float:
     """Renyi-2 steering from steerer to steered: max(0, S(2V_a) - S(2V_ab)).
 
@@ -207,11 +189,10 @@ def gaussian_steering(v, steerer, steered) -> float:
     va = 2.0 * reduce(v, [steerer])
     vab = 2.0 * reduce(v, [steerer, steered])
     det_a = va[0, 0] * va[1, 1] - va[0, 1] * va[1, 0]
-    s_a = _renyi2_entropy_arg(det_a, f"reduced block of {steerer.label}")
-    s_ab = _renyi2_entropy_arg(
-        float(np.linalg.det(vab)), f"pair ({steerer.label}, {steered.label})"
-    )
-    return max(0.0, s_a - s_ab)
+    _require_positive_det(det_a, f"reduced block of {steerer.label}")
+    det_ab = float(np.linalg.det(vab))
+    _require_positive_det(det_ab, f"pair ({steerer.label}, {steered.label})")
+    return max(0.0, 0.5 * math.log(det_a) - 0.5 * math.log(det_ab))
 
 
 def steering_asymmetry(v, a, b) -> float:
@@ -382,8 +363,9 @@ def _measures(v) -> np.ndarray:
     # a partially transposed eigenvalue below the rounding error of V can
     # come out as zero; the finiteness test below refuses the infinite
     # negativity, so numpy is not let warn of it
+    # np.maximum may return either equal argument; + 0.0 turns -0.0 into 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.maximum(0.0, _LOG_SCALES * np.log(log_args))
+        logs = np.maximum(0.0, _LOG_SCALES * np.log(log_args)) + 0.0
     e_n_split, e_n_pairs, zeta = logs[:3], logs[3:6], logs[6:]
 
     # each focus mode's contangle less those of the two pairs holding it

@@ -1,3 +1,4 @@
+import ast
 import collections
 import itertools
 import json
@@ -132,7 +133,33 @@ COLUMN_ORACLE_POINTS = {
     # the cavities steer each other unequally (0.341 and 0.349), which no
     # other point here does
     "kappa_2 = 2 kappa_c, r = 1": default_params().replace(kappa_2=2 * KAPPA_C, r=1.0),
+    # cavity 1 steers the magnon one way (zeta_c1_m = 0.0044) and cavity 2
+    # one way (zeta_c1_c2 = 0.108 against 0), which no other point does
+    "unequal couplings, r = 0.8": default_params().replace(
+        r=0.8, gamma_1=0.4 * KAPPA_C, gamma_2=1.8 * KAPPA_C, kappa_m=2.5 * KAPPA_C,
+        kappa_2=1.1 * KAPPA_C,
+    ),
+    # a squared-negativity monogamy counterexample: r_tau_min = -1.47e-7
+    "monogamy counterexample": PhysicalParams(
+        kappa_1=31415926.535897933, kappa_2=16540966.352031771, kappa_m=6283185.307179586,
+        gamma_1=125663706.14359173, gamma_2=9392624.409043266, delta_1=-176161362.7463158,
+        delta_2=-129684536.85045086, delta_m=48552254.963932194, r=0.0032673779236563893,
+        temperature=0.10100463744235155,
+    ),
 }
+
+# Names of the block-invariant kernel of full_report, and the functions of
+# the eigenvalue reference it is tested against, which must read none of them.
+KERNEL_NAMES = {
+    "_measures", "_SPECTRUM_MASKS", "_SPECTRUM_FORMS", "_PAIR_INDEX", "_PAIR_A", "_PAIR_B",
+    "_PAIR_TWIST", "_HOLDING_PAIRS", "_STEERER", "_DIRECTION_PAIR", "_LOG_SCALES",
+}
+REFERENCE_FUNCTIONS = (
+    "as_mode", "symplectic_form", "reduce", "symplectic_eigenvalues", "_pt_negativity",
+    "log_negativity", "log_negativity_one_vs_two", "residual_contangle",
+    "min_residual_contangle", "_require_positive_det", "gaussian_steering",
+    "steering_asymmetry", "classify_steering",
+)
 
 
 def log_uniform(lo, hi):
@@ -394,6 +421,22 @@ class TestFullReport:
         assert rep.steering["m|c1"] == 0.0 and rep.steering["c1|m"] == 0.0
         assert rep.r_tau_min == 0.0
 
+    @pytest.mark.parametrize("s", [0.1, 0.5, 1.0])
+    def test_two_mode_squeezed_vacuum(self, s):
+        # uncoupled and cold, the cavities hold a two-mode squeezed vacuum and
+        # the magnon its vacuum: E_N = 2s, zeta = ln cosh 2s both ways
+        p = default_params().replace(gamma_1=0.0, gamma_2=0.0, temperature=0.0, r=s)
+        row = full_report(p).as_dict()
+        zeta = math.log(math.cosh(2.0 * s))
+        expected = {
+            "e_n_c1c2": 2.0 * s, "e_n_c1_vs_mc2": 2.0 * s, "e_n_c2_vs_mc1": 2.0 * s,
+            "zeta_c1_c2": zeta, "zeta_c2_c1": zeta, "nu_min": 0.5,
+        }
+        for column, value in expected.items():
+            assert abs(row[column] - value) <= 1e-12, column
+        for column in ("e_n_mc1", "e_n_mc2", "e_n_mc_max"):
+            assert row[column] == 0.0 and not np.signbit(row[column]), column
+
     def test_reference_point_summary(self):
         rep = full_report(default_params())
         assert rep.stable
@@ -582,8 +625,17 @@ class TestBatchedReport:
         def refuse(*args):
             raise AssertionError("a pair took the eigenvalue route")
 
-        monkeypatch.setattr(measures, "_pt_min_eigenvalue", refuse)
+        monkeypatch.setattr(measures, "_pt_negativity", refuse)
+        monkeypatch.setattr(measures, "symplectic_eigenvalues", refuse)
         full_report(weak_pair_params(point))
+
+    def test_reference_reads_no_kernel_name(self):
+        with open(measures.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name in REFERENCE_FUNCTIONS:
+            read = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+            assert not read & KERNEL_NAMES, name
 
     def test_root_split_identity(self, rng):
         # Dt^2 - 4 det sigma = (det A - det B)^2 - 4 det G, with G the upper

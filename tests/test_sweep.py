@@ -409,6 +409,18 @@ class TestSerialization:
         raw = path.read_bytes()
         assert b"\r" not in raw
 
+    @pytest.mark.parametrize("figure_id", ["fig3a", "fig3b", "fig6c"])
+    def test_no_negative_zero_cell(self, tmp_path, figure_id):
+        # each grid starts at r = 0, gamma_ratio = 0, where clamped
+        # negativities are exactly zero
+        result = run_sweep(with_resolution(figure_preset(figure_id), (3, 3)))
+        for name in result.columns:
+            assert not np.signbit(result.column(name)).any(), name
+        path = tmp_path / "grid.csv"
+        write_csv(result, path)
+        cells = path.read_text(encoding="utf-8").replace("\n", ",").split(",")
+        assert "-0" not in cells
+
     def test_json_round_trip_identity(self, tmp_path):
         spec = SweepSpec(
             base=default_params(),
