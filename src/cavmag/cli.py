@@ -21,15 +21,14 @@ import json
 import sys
 from dataclasses import replace
 
-from . import sweep as sweep_mod
 from .errors import CavmagError, ConfigError, StabilityError
 from .measures import full_report
 from .model import TWO_PI, PhysicalParams, default_params
 from .sweep import (
-    AxisSpec,
     FIGURE_IDS,
     SweepSpec,
     figure_preset,
+    preset_spec,
     run_sweep,
     spec_from_dict,
     with_resolution,
@@ -158,12 +157,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cavmag", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("point", parents=[config], help="correlation report at one parameter point")
+    sub.add_parser("point", parents=[config], help="correlation report at one parameter point"
+                   ).set_defaults(handler=cmd_point)
     p_sweep = sub.add_parser("sweep", parents=[config, run],
                              help="run a sweep described by a JSON spec file")
     p_sweep.add_argument("spec_file", help="JSON sweep spec, or {\"preset\": \"fig4a\"}")
+    p_sweep.set_defaults(handler=cmd_sweep)
     p_fig = sub.add_parser("figure", parents=[config, run], help="regenerate a named figure grid")
     p_fig.add_argument("figure_id", help=f"one of: {', '.join(FIGURE_IDS)}")
+    p_fig.set_defaults(handler=cmd_figure)
     p_stab = sub.add_parser("stability", parents=[config, run],
                             help="drift-spectrum stability scan")
     p_stab.add_argument("--axes", default="delta_1,delta_2",
@@ -171,6 +173,7 @@ def build_parser() -> _Parser:
     p_stab.add_argument("--window", default="-10:10",
                         help="axis window lo:hi in axis units; use --window=-10:10 "
                              "for negative bounds (default -10:10)")
+    p_stab.set_defaults(handler=cmd_stability)
     return parser
 
 
@@ -224,8 +227,7 @@ def _print_summary(result, label: str):
     )
 
 
-def cmd_point(args) -> int:
-    params_over, _ = _collect_settings(args)
+def cmd_point(args, params_over: dict, _run: dict) -> int:
     params = resolve_params(params_over)
     report = full_report(params)
     payload = {
@@ -258,6 +260,9 @@ def _load_sweep_spec(path: str, params_over: dict) -> SweepSpec:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
     if "preset" in data:
+        if len(data) > 1:
+            raise ConfigError(f"{path}: a preset reference takes no key but 'preset', got "
+                              f"{[key for key in data if key != 'preset']}")
         return figure_preset(data["preset"], base=resolve_params(params_over))
     spec = spec_from_dict(data)
     return replace(spec, base=resolve_params(params_over, base=spec.base))
@@ -275,19 +280,16 @@ def _run_grid(spec: SweepSpec, run: dict, label: str) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    params_over, run = _collect_settings(args)
+def cmd_sweep(args, params_over: dict, run: dict) -> int:
     return _run_grid(_load_sweep_spec(args.spec_file, params_over), run, "sweep")
 
 
-def cmd_figure(args) -> int:
-    params_over, run = _collect_settings(args)
+def cmd_figure(args, params_over: dict, run: dict) -> int:
     spec = figure_preset(args.figure_id, base=resolve_params(params_over))
     return _run_grid(spec, run, args.figure_id)
 
 
-def cmd_stability(args) -> int:
-    params_over, run = _collect_settings(args)
+def cmd_stability(args, params_over: dict, run: dict) -> int:
     axes_names = [a.strip() for a in args.axes.split(",") if a.strip()]
     lo, sep, hi = args.window.partition(":")
     if not sep:
@@ -296,16 +298,8 @@ def cmd_stability(args) -> int:
         lo, hi = float(lo), float(hi)
     except ValueError:
         raise ConfigError(f"cannot parse window {args.window!r}")
-    count = (
-        sweep_mod.DEFAULT_COUNT_1D if len(axes_names) == 1 else sweep_mod.DEFAULT_COUNT_2D
-    )
-    spec = SweepSpec(
-        base=resolve_params(params_over),
-        axes=tuple(AxisSpec(parameter=name, start=lo, stop=hi, count=count)
-                   for name in axes_names),
-        quantities=("lambda_max",),
-        description=f"stability scan over {', '.join(axes_names)}",
-    )
+    spec = preset_spec(resolve_params(params_over), {}, [(name, lo, hi) for name in axes_names],
+                       ("lambda_max",), f"stability scan over {', '.join(axes_names)}")
     return _run_grid(spec, run, "stability")
 
 
@@ -315,14 +309,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "point": cmd_point,
-        "sweep": cmd_sweep,
-        "figure": cmd_figure,
-        "stability": cmd_stability,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args, *_collect_settings(args))
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -138,7 +138,11 @@ def log_negativity(v4) -> float:
 
 def log_negativity_one_vs_two(v, focus) -> float:
     """Logarithmic negativity across the focus-mode-vs-rest bipartition."""
-    return _pt_negativity(v, PT_ONE_VS_TWO[as_mode(focus)])
+    mask = PT_ONE_VS_TWO[as_mode(focus)]
+    v = np.asarray(v, dtype=float)
+    if v.shape != (6, 6):
+        raise DomainError(f"expected a 6x6 three-mode CM, got shape {v.shape}")
+    return _pt_negativity(v, mask)
 
 
 def residual_contangle(v, focus) -> float:

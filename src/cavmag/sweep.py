@@ -40,6 +40,9 @@ AXES = {
 DEFAULT_COUNT_1D = 401
 DEFAULT_COUNT_2D = 101
 
+# the keys of asdict(SweepSpec), which spec_from_dict alone accepts
+_SPEC_KEYS = ("base", "axes", "quantities", "description")
+
 
 @dataclass(frozen=True)
 class AxisSpec:
@@ -303,8 +306,12 @@ def figure_preset(figure_id: str, base: PhysicalParams | None = None) -> SweepSp
         raise ValidationError(
             f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}"
         )
-    base = default_params() if base is None else base
-    fixed, axes, quantities, description = _PRESETS[figure_id]
+    return preset_spec(default_params() if base is None else base, *_PRESETS[figure_id])
+
+
+def preset_spec(base: PhysicalParams, fixed: dict, axes, quantities, description) -> SweepSpec:
+    """Spec at the default resolution (DEFAULT_COUNT_1D or _2D points per axis),
+    fixed detunings in kappa_c set on base, one (parameter, start, stop) per axis."""
     count = DEFAULT_COUNT_1D if len(axes) == 1 else DEFAULT_COUNT_2D
     return SweepSpec(
         base=base.replace(**{name: x * base.kappa_c for name, x in fixed.items()}),
@@ -359,7 +366,10 @@ def write_csv(result: SweepResult, destination) -> None:
 
 
 def spec_from_dict(data: dict) -> SweepSpec:
-    """Inverse of asdict(spec); a missing key or a malformed field raises ValidationError."""
+    """Inverse of asdict(spec); a missing or unknown key or a bad field raises ValidationError."""
+    unknown = [key for key in data if key not in _SPEC_KEYS] if isinstance(data, dict) else []
+    if unknown:
+        raise ValidationError(f"sweep spec has unknown keys {unknown}")
     try:
         return SweepSpec(
             base=PhysicalParams(**data["base"]),

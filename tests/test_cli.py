@@ -272,10 +272,19 @@ class TestSweepCommand:
         (b'{"preset": "fig4a\xff"}',
          "error: cannot read spec file {path}: 'utf-8' codec can't decode byte 0xff "
          "in position 17: invalid start byte"),
-    ], ids=["string bounds", "no axes", "preset not a string", "not UTF-8"])
+        ({"preset": "fig4a", "axes": [{"parameter": "r", "start": 0, "stop": 1, "count": 3}],
+          "bogus": 1},
+         "error: {path}: a preset reference takes no key but 'preset', got ['axes', 'bogus']"),
+        ({"base": {"kappa_1": 1e7, "kappa_2": 1e7, "kappa_m": 1e6},
+          "axes": [{"parameter": "r", "start": 0.0, "stop": 1.0, "count": 3}],
+          "quantities": ["e_n_c1c2"], "bogus": 1},
+         "error: sweep spec has unknown keys ['bogus']"),
+    ], ids=["string bounds", "no axes", "preset not a string", "not UTF-8",
+            "preset with other keys", "spec unknown key"])
     def test_malformed_spec_exits_1_with_one_line(self, capsys, tmp_path, spec, message):
         # string bounds, a list preset and a byte that is not UTF-8 used to
-        # end in a traceback; a spec given as bytes is the whole file
+        # end in a traceback, and keys beside the ones read were ignored; a
+        # spec given as bytes is the whole file
         spec_path = tmp_path / "spec.json"
         spec_path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
         out_path = tmp_path / "out.csv"
@@ -379,6 +388,15 @@ class TestStabilityCommand:
         assert lines[0] == "delta_m,lambda_max,stable"
         first = lines[1].split(",")
         assert float(first[0]) == -4.0
+
+    @pytest.mark.parametrize("axes, figure_id", [(None, "fig8a"), ("delta_1,delta_m", "fig8b")])
+    def test_default_window_writes_the_fig8_grid(self, capsys, tmp_path, axes, figure_id):
+        # the scan and the preset share one spec builder and resolution rule
+        scan, figure = tmp_path / "stability.csv", tmp_path / f"{figure_id}.csv"
+        axes_flag = () if axes is None else ("--axes", axes)
+        assert run_cli(capsys, "stability", *axes_flag, "--grid=5x5", "--out", str(scan))[0] == 0
+        assert run_cli(capsys, "figure", figure_id, "--grid=5x5", "--out", str(figure))[0] == 0
+        assert scan.read_bytes() == figure.read_bytes()
 
     def test_bad_window_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "stability", "--window", "oops")

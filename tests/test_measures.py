@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import warnings
 
 import mpmath
@@ -311,6 +312,13 @@ class TestOneVsTwo:
         v = steady_state_cm(sideband_params())
         for focus in Mode:
             assert log_negativity_one_vs_two(v, focus) > 0.0
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 6)])
+    def test_rejects_wrong_shape(self, shape):
+        # both shapes once let numpy's broadcast or matmul ValueError out
+        message = re.escape(f"expected a 6x6 three-mode CM, got shape {shape}")
+        with pytest.raises(DomainError, match=message):
+            log_negativity_one_vs_two(0.5 * np.eye(6)[: shape[0], : shape[1]], Mode.MAGNON)
 
 
 class TestResidualContangle:

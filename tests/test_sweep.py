@@ -1,13 +1,15 @@
 import json
+import os
 import re
 import textwrap
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cavmag.sweep as sweep_mod
-from cavmag.errors import PhysicalityError, ValidationError
+from cavmag.errors import CavmagError, PhysicalityError, ValidationError
 from cavmag.measures import REPORT_COLUMNS, full_report
 from cavmag.model import default_params
 from cavmag.sweep import (
@@ -450,6 +452,8 @@ class TestSerialization:
         (lambda payload: payload["rows"].pop(), "1 rows, expected the spec's 2"),
         (lambda payload: payload["rows"][1].pop(), "row 1 has 2 cells, expected 3"),
         (lambda payload: payload["spec"].pop("axes"), "sweep spec lacks the key 'axes'"),
+        (lambda payload: payload["spec"].update(bogus=1),
+         r"sweep spec has unknown keys \['bogus'\]"),
         (lambda payload: payload["spec"]["axes"][0].update(step=0.1),
          "malformed sweep spec: .*unexpected keyword argument 'step'"),
         (lambda payload: payload["spec"]["axes"][0].pop("count"),
@@ -475,8 +479,8 @@ class TestSerialization:
         (set_cell(0, 2, "yes"), "row 0, column 'stable': 'yes' is not a bool"),
         (set_cell(0, 2, 1), "row 0, column 'stable': 1 is not a bool"),
     ], ids=["no spec", "no columns", "no rows", "row count", "row width", "no axes",
-            "axis unknown key", "axis missing key", "base unknown field", "base string value",
-            "base int beyond float range", "axis int beyond float range",
+            "spec unknown key", "axis unknown key", "axis missing key", "base unknown field",
+            "base string value", "base int beyond float range", "axis int beyond float range",
             "columns not a list", "rows null", "rows not lists", "not an object", "not UTF-8",
             "truncated", "axis cell a string", "quantity cell a bool", "quantity cell NaN",
             "stable cell a string", "stable cell an int"])
@@ -555,3 +559,42 @@ class TestSerialization:
         )
         result = run_sweep(spec)
         assert len(result.columns) == 1 + len(REPORT_COLUMNS) + 1
+
+
+PRESET_GRID = os.path.join(os.path.dirname(__file__), "data", "preset_grid.json")
+
+
+@pytest.fixture(scope="module")
+def preset_grid():
+    # written by tests/data/make_preset_grid.py
+    with open(PRESET_GRID, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+class TestPresetGrid:
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_matches_reference_grid(self, preset_grid, figure_id):
+        assert tuple(preset_grid["columns"]) == REPORT_COLUMNS
+        spec = figure_preset(figure_id)
+        spec = with_resolution(spec, (5, 4)[: len(spec.axes)])
+        rows = run_sweep(replace(spec, quantities=REPORT_COLUMNS)).rows
+        expected = preset_grid["grids"][figure_id]
+        assert len(rows) == len(expected)
+        n_axes = len(spec.axes)
+        for i, (row, want) in enumerate(zip(rows, expected)):
+            assert len(row) == len(want) and row[:n_axes] == want[:n_axes], (figure_id, i)
+            assert row[-1] is want[-1], (figure_id, i)
+            for column, got, value in zip(REPORT_COLUMNS, row[n_axes:-1], want[n_axes:-1]):
+                assert abs(got - value) <= 1e-12, (figure_id, i, column, got, value)
+
+    def test_refusal_matches_reference(self, preset_grid):
+        refusal = preset_grid["refusal"]
+        spec = SweepSpec(
+            base=default_params().replace(**refusal["params"]),
+            axes=(AxisSpec(*refusal["axis"]),),
+            quantities=REPORT_COLUMNS,
+        )
+        with pytest.raises(CavmagError) as err:
+            run_sweep(spec)
+        assert type(err.value).__name__ == refusal["error"] == "NumericalError"
+        assert str(err.value) == refusal["message"]
