@@ -77,8 +77,9 @@ def _parse_tagged(field: str, text: str):
 def resolve_params(overrides: dict, base: PhysicalParams | None = None) -> PhysicalParams:
     """Apply tagged overrides on top of a base configuration.
 
-    kappa_1 is resolved first so that kc-tagged values have a unique rad/s
-    meaning.
+    Each value is the number times its unit's rad/s scale. The kc scale,
+    kappa_c, is kappa_1 converted by the same table; kappa_1 itself cannot
+    carry the kc tag.
     """
     base = default_params() if base is None else base
     parsed = {}
@@ -86,20 +87,10 @@ def resolve_params(overrides: dict, base: PhysicalParams | None = None) -> Physi
         if field not in PARAM_FIELDS:
             raise ConfigError(f"unknown parameter {field!r}")
         parsed[field] = _parse_tagged(field, raw)
-
-    values = {}
-    if "kappa_1" in parsed:
-        value, tag = parsed.pop("kappa_1")
-        values["kappa_1"] = TWO_PI * value if tag == "hz" else value
-    kappa_c = values.get("kappa_1", base.kappa_1)
-    for field, (value, tag) in parsed.items():
-        if tag == "hz":
-            values[field] = TWO_PI * value
-        elif tag == "kc":
-            values[field] = value * kappa_c
-        else:  # rad or none
-            values[field] = value
-    return base.replace(**values)
+    scale = {"hz": TWO_PI, "rad": 1.0, "none": 1.0}
+    value, tag = parsed.get("kappa_1", (base.kappa_1, "rad"))
+    scale["kc"] = scale[tag] * value
+    return base.replace(**{field: scale[tag] * value for field, (value, tag) in parsed.items()})
 
 
 def parse_config_file(path: str) -> tuple[dict, dict]:
@@ -134,15 +125,7 @@ def _parse_grid(text: str) -> tuple:
         raise ConfigError(f"cannot parse grid specification {text!r} (expected N or NxM)")
 
 
-class _Parser(argparse.ArgumentParser):
-    # uniform exit code 1 for command-line misuse
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-def build_parser() -> _Parser:
+def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="flat key = value configuration file")
     for field, unit in PARAM_FIELDS.items():
@@ -154,8 +137,8 @@ def build_parser() -> _Parser:
     run.add_argument("--grid", help="resolution override: N or NxM")
     run.add_argument("--workers", help="worker processes for grid evaluation (default 1)")
 
-    parser = _Parser(prog="cavmag", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(prog="cavmag", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("point", parents=[config], help="correlation report at one parameter point"
                    ).set_defaults(handler=cmd_point)
@@ -191,25 +174,6 @@ def _collect_settings(args) -> tuple[dict, dict]:
         if value is not None:
             run[key] = value
     return params, run
-
-
-def _run_settings(run: dict, label: str):
-    fmt = run.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r} (expected csv or json)")
-    out = run.get("out", f"{label}.{fmt}")
-    try:
-        workers = int(run.get("workers", 1))
-    except ValueError:
-        raise ConfigError(f"workers must be an integer, got {run['workers']!r}")
-    grid = _parse_grid(run["grid"]) if "grid" in run else None
-    return out, fmt, workers, grid
-
-
-def _progress_printer(label: str):
-    def advance(done, total):
-        print(f"{label}: {done}/{total} points", file=sys.stderr, flush=True)
-    return advance
 
 
 def _print_summary(result, label: str):
@@ -269,11 +233,19 @@ def _load_sweep_spec(path: str, params_over: dict) -> SweepSpec:
 
 
 def _run_grid(spec: SweepSpec, run: dict, label: str) -> int:
-    """Shared tail of the grid commands: resolution, sweep, output, summary."""
-    out, fmt, workers, grid = _run_settings(run, label)
-    if grid is not None:
-        spec = with_resolution(spec, grid)
-    result = run_sweep(spec, workers=workers, progress=_progress_printer(label))
+    """Shared tail of the grid commands: run settings, resolution, sweep, output, summary."""
+    fmt = run.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown output format {fmt!r} (expected csv or json)")
+    out = run.get("out", f"{label}.{fmt}")
+    try:
+        workers = int(run.get("workers", 1))
+    except ValueError:
+        raise ConfigError(f"workers must be an integer, got {run['workers']!r}")
+    if "grid" in run:
+        spec = with_resolution(spec, _parse_grid(run["grid"]))
+    result = run_sweep(spec, workers=workers, progress=lambda done, total: print(
+        f"{label}: {done}/{total} points", file=sys.stderr, flush=True))
     (write_json if fmt == "json" else write_csv)(result, out)
     _print_summary(result, label)
     print(f"{label}: wrote {len(result.rows)} rows to {out}", file=sys.stderr)
@@ -307,8 +279,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on misuse, which is 1 here
+        return 1 if exc.code else 0
     try:
         return args.handler(args, *_collect_settings(args))
     except OSError as exc:

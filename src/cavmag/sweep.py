@@ -72,25 +72,23 @@ class SweepSpec:
         problems = []
         if not 1 <= len(self.axes) <= 2:
             problems.append(f"axes: expected 1 or 2 axes, got {len(self.axes)}")
-        for ax in self.axes:
+        for index, ax in enumerate(self.axes):
+            bad = []
             if ax.parameter not in AXES:
-                problems.append(
-                    f"axes.parameter: {ax.parameter!r} not one of {sorted(AXES)}"
-                )
+                bad.append(f"axes.parameter: {ax.parameter!r} not one of {sorted(AXES)}")
             if isinstance(ax.count, bool) or not isinstance(ax.count, numbers.Integral):
-                problems.append(f"axes.count: must be an integer, got {ax.count!r}")
+                bad.append(f"axes.count: must be an integer, got {ax.count!r}")
             elif not ax.count >= 2:
-                problems.append(f"axes.count: must be >= 2, got {ax.count}")
-            bad = [
+                bad.append(f"axes.count: must be >= 2, got {ax.count}")
+            bounds = [
                 f"axes.{name}: must be a finite number, got {b!r}"
                 for name, b in (("start", ax.start), ("stop", ax.stop))
                 if finite_float(b) is None
             ]
-            problems += bad
-            if not bad and not ax.start < ax.stop:
-                problems.append(
-                    f"axes.range: start {ax.start} must be < stop {ax.stop}"
-                )
+            bad += bounds
+            if not bounds and not ax.start < ax.stop:
+                bad.append(f"axes.range: start {ax.start} must be < stop {ax.stop}")
+            problems += [f"{problem} (axis {index}, {ax.parameter})" for problem in bad]
         names = [ax.parameter for ax in self.axes]
         if len(set(names)) != len(names):
             problems.append(f"axes: parameters must be distinct, got {names}")
@@ -344,16 +342,21 @@ def _format_cell(value) -> str:
 def _atomic_write(destination, text: str):
     destination = os.fspath(destination)
     directory = os.path.dirname(destination) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".cavmag-", suffix=".tmp")
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".cavmag-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp_path, destination)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp_path is not None:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            # the temporary file's name is random; name the file asked for
+            raise OSError(exc.errno, exc.strerror, destination) from exc
         raise
 
 

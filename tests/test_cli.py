@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavmag.cli import main, parse_config_file, resolve_params
+from cavmag.cli import PARAM_FIELDS, main, parse_config_file, resolve_params
 from cavmag.errors import ConfigError
 from cavmag.model import TWO_PI, default_params
 from cavmag.sweep import FIGURE_IDS
@@ -52,6 +54,31 @@ class TestParamResolution:
     def test_unknown_parameter(self):
         with pytest.raises(ConfigError):
             resolve_params({"phi": "1"})
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.fixed_dictionaries({}, optional={
+        field: st.tuples(
+            st.floats(-1e9, 1e9) if field.startswith("delta") else st.floats(1e-3, 1e9),
+            st.sampled_from([None] if unit == "none"
+                            else [None, "hz", "rad"] + ["kc"] * (field != "kappa_1")))
+        for field, unit in PARAM_FIELDS.items()
+    }))
+    def test_each_value_is_one_exact_product(self, drawn):
+        # (value, tag) per field, tag None for the default unit; compared by
+        # ==, so each resolved value must be exactly 2pi*v, v or v*kappa_c
+        base = default_params()
+        kappa_c = base.kappa_1
+        if "kappa_1" in drawn:
+            value, tag = drawn["kappa_1"]
+            kappa_c = value if tag == "rad" else TWO_PI * value
+        expected = {}
+        for field, (value, tag) in drawn.items():
+            tag = tag or PARAM_FIELDS[field]
+            expected[field] = (TWO_PI * value if tag == "hz"
+                               else value * kappa_c if tag == "kc" else value)
+        overrides = {field: repr(value) + (f":{tag}" if tag else "")
+                     for field, (value, tag) in drawn.items()}
+        assert resolve_params(overrides) == base.replace(**expected)
 
 
 class TestConfigFile:
@@ -262,8 +289,8 @@ class TestSweepCommand:
         ({"base": {"kappa_1": 1e7, "kappa_2": 1e7, "kappa_m": 1e6},
           "axes": [{"parameter": "r", "start": "0.2", "stop": "2.2", "count": 3}],
           "quantities": ["e_n_c1c2"]},
-         "error: invalid sweep spec: axes.start: must be a finite number, got '0.2'; "
-         "axes.stop: must be a finite number, got '2.2'"),
+         "error: invalid sweep spec: axes.start: must be a finite number, got '0.2' (axis 0, r); "
+         "axes.stop: must be a finite number, got '2.2' (axis 0, r)"),
         ({"base": {"kappa_1": 1e7, "kappa_2": 1e7, "kappa_m": 1e6},
           "quantities": ["e_n_c1c2"]},
          "error: sweep spec lacks the key 'axes'"),
@@ -351,11 +378,18 @@ class TestFigureCommand:
         assert not out_path.exists()
 
     def test_io_failure_exits_3(self, capsys, tmp_path):
-        target = tmp_path / "missing-dir" / "out.csv"
-        code, _, err = run_cli(capsys, "figure", "fig7a", "--grid", "5",
-                               "--out", str(target))
-        assert code == 3
-        assert not target.exists()
+        # the message names the file asked for, never the random temporary one
+        (tmp_path / "adir").mkdir()
+        for target in (tmp_path / "missing-dir" / "out.csv", tmp_path / "adir"):
+            runs = [run_cli(capsys, "figure", "fig7a", "--grid", "5", "--out", str(target))
+                    for _ in range(2)]
+            assert runs[0] == runs[1]
+            code, _, err = runs[0]
+            assert code == 3
+            last = err.splitlines()[-1]
+            assert last.startswith("i/o error: ") and str(target) in last, last
+            assert ".cavmag-" not in err
+        assert [path.name for path in tmp_path.rglob("*")] == ["adir"]
 
     def test_parameter_override_changes_result(self, capsys, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -402,6 +436,16 @@ class TestStabilityCommand:
         code, _, err = run_cli(capsys, "stability", "--window", "oops")
         assert code == 1
 
+    def test_reversed_window_names_each_axis(self, capsys, tmp_path):
+        # both axes once gave the same message without saying which is which
+        out_path = tmp_path / "stability.csv"
+        assert run_cli(capsys, "stability", "--window=5:-5", "--grid", "3x3",
+                       "--out", str(out_path)) == (
+            1, "", "error: invalid sweep spec: "
+                   "axes.range: start 5.0 must be < stop -5.0 (axis 0, delta_1); "
+                   "axes.range: start 5.0 must be < stop -5.0 (axis 1, delta_2)\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (("--grid", "9"), "expected 2 axis counts, got 1"),
         (("--axes", "delta_1,delta_2,delta_m"), "expected 1 or 2 axes, got 3"),
@@ -433,11 +477,40 @@ def test_grid_commands_share_their_stderr_tail(capsys, tmp_path, command, label)
     assert lines[-1] == f"{label}: wrote 5 rows to {out_path}"
 
 
-class TestUsageErrors:
-    def test_missing_command_exits_1(self, capsys):
-        code, _, _ = run_cli(capsys)
-        assert code == 1
+TOP_USAGE = "usage: cavmag [-h] {point,sweep,figure,stability} ...\n"
+PARAM_USAGE = """\
+[-h] [--config CONFIG] [--kappa-1 VALUE[:unit]]
+{0}[--kappa-2 VALUE[:unit]] [--kappa-m VALUE[:unit]]
+{0}[--gamma-1 VALUE[:unit]] [--gamma-2 VALUE[:unit]]
+{0}[--delta-1 VALUE[:unit]] [--delta-2 VALUE[:unit]]
+{0}[--delta-m VALUE[:unit]] [--omega-m VALUE[:unit]]
+{0}[--r VALUE[:unit]] [--temperature VALUE[:unit]]
+"""
+POINT_USAGE = "usage: cavmag point " + PARAM_USAGE.format(" " * 20)
+FIGURE_USAGE = "usage: cavmag figure " + PARAM_USAGE.format(" " * 21) + """\
+                     [--out OUT] [--format FORMAT] [--grid GRID]
+                     [--workers WORKERS]
+                     figure_id
+"""
 
-    def test_bad_flag_exits_1(self, capsys):
-        code, _, _ = run_cli(capsys, "point", "--no-such-flag", "1")
-        assert code == 1
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, err", [
+        ((), TOP_USAGE + "cavmag: error: the following arguments are required: command\n"),
+        (("bogus",), TOP_USAGE + "cavmag: error: argument command: invalid choice: 'bogus' "
+                                 "(choose from 'point', 'sweep', 'figure', 'stability')\n"),
+        (("point", "--no-such-flag", "1"),
+         TOP_USAGE + "cavmag: error: unrecognized arguments: --no-such-flag 1\n"),
+        (("point", "--r"), POINT_USAGE + "cavmag point: error: argument --r: expected one argument\n"),
+        (("figure",),
+         FIGURE_USAGE + "cavmag figure: error: the following arguments are required: figure_id\n"),
+    ], ids=["no command", "unknown command", "unknown flag", "flag without value", "no figure id"])
+    def test_misuse_exits_1_with_usage_and_error(self, capsys, monkeypatch, argv, err):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal width
+        assert run_cli(capsys, *argv) == (1, "", err)
+
+    @pytest.mark.parametrize("argv", [("-h",), ("stability", "-h")], ids=" ".join)
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: cavmag ")

@@ -465,7 +465,8 @@ class TestSerialization:
         (lambda payload: payload["spec"]["base"].update(r=10**400),
          f"malformed sweep spec: r must be a finite real number, got {10**400}$"),
         (lambda payload: payload["spec"]["axes"][0].update(stop=10**400),
-         f"invalid sweep spec: axes.stop: must be a finite number, got {10**400}$"),
+         f"invalid sweep spec: axes.stop: must be a finite number, got {10**400} "
+         r"\(axis 0, r\)$"),
         (lambda payload: payload.update(columns=5), "columns 5 do not match the spec"),
         (lambda payload: payload.update(rows=None), "rows must be a list, got NoneType"),
         (lambda payload: payload.update(rows=[1, 2]), "row 0 must be a list, got int"),
