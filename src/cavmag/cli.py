@@ -191,7 +191,10 @@ def _print_summary(result, label: str):
     )
 
 
-def cmd_point(args, params_over: dict, _run: dict) -> int:
+def cmd_point(args, params_over: dict, run: dict) -> int:
+    if run:  # point has no run flags, so these keys came from the config file
+        raise ConfigError(f"{args.config}: run setting {next(iter(run))!r} is taken by figure, "
+                          f"sweep and stability, not by point")
     params = resolve_params(params_over)
     report = full_report(params)
     payload = {

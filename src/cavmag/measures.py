@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,25 +290,26 @@ class CorrelationReport:
 # of Omega times the partially transposed V.
 _SPECTRUM_MASKS = np.array([np.ones(6)] + [PT_ONE_VS_TWO[mode] for mode in Mode])
 _SPECTRUM_FORMS = _SPECTRUM_MASKS[:, :, None] * OMEGA_3 * _SPECTRUM_MASKS[:, None, :]
-# Quadrature indices and mode numbers of each _PAIRS entry.
+# Quadrature indices of each _PAIRS entry.
 _PAIR_INDEX = np.array([a.indices + b.indices for a, b in _PAIRS])
-_PAIR_A, _PAIR_B = np.array(_PAIRS, dtype=int).T
 # diag(J, -J): sigma _PAIR_TWIST sigma has A J C - C J B as its upper right
 # block for a pair CM sigma = [[A, C], [C^T, B]].
 _PAIR_TWIST = np.kron(np.diag([1.0, -1.0]), symplectic_form(1))
 # Positions in _PAIRS of the two pairs holding each mode, in Mode order.
-_HOLDING_PAIRS = np.array([[k for k, pair in enumerate(_PAIRS) if mode in pair] for mode in Mode])
-# Steerer mode and position in _PAIRS of each steering direction.
-_STEERER = np.array(_PAIRS, dtype=int).ravel()
-_DIRECTION_PAIR = np.repeat(np.arange(3), 2)
+_HOLDING_PAIRS = tuple(tuple(k for k, pair in enumerate(_PAIRS) if mode in pair) for mode in Mode)
 # Factors of the logarithms of _measures: E_N = -ln(2 eta) for the three
 # one-vs-two splits, E_N = -(1/2) ln(4 eta^2) for the three pairs, and
 # zeta = (1/2) ln(det A / (4 det sigma)) for the six steering directions.
-_LOG_SCALES = np.array([-1.0] * 3 + [-0.5] * 3 + [0.5] * 6)
+_LOG_SCALES = (-1.0,) * 3 + (-0.5,) * 3 + (0.5,) * 6
 
 
-def _measures(v) -> np.ndarray:
-    """The report row of a stationary CM, all but lambda_max, as one array.
+def _quotient(a: float, b: float) -> float:
+    """a / b as IEEE 754 (and numpy) has it: +-inf or nan where b is zero."""
+    return a / b if b else a * math.copysign(math.inf, b)
+
+
+def _measures(v) -> list:
+    """The report row of a stationary CM, all but lambda_max, as a list.
 
     One Heisenberg check on V covers every reduced state: with delta =
     PHYSICALITY_ATOL and nu_min >= 1/2 - delta,
@@ -323,11 +325,17 @@ def _measures(v) -> np.ndarray:
     G = A J C - C J B, J = [[0, 1], [-1, 0]]: neither term on the right
     cancels when the pair is weakly correlated.
 
-    Each stage is one array operation for all its measures: one eigen-solve
-    of the stacked _SPECTRUM_FORMS @ V gives the symplectic spectrum of V
-    and of its three one-vs-two partial transposes, one sort gives nu_min
-    and the smallest eigenvalue of each split, and one logarithm, scaled by
-    _LOG_SCALES, gives the six negativities and the six steering values.
+    Five steps stay on numpy arrays: eigvalsh of V; one eigen-solve of
+    the stacked _SPECTRUM_FORMS @ V for the symplectic spectra of V and of
+    its three one-vs-two partial transposes; one determinant of the three
+    stacked pair CMs; the _PAIR_TWIST product for G; and one logarithm of
+    the twelve arguments of the six negativities and six steering values.
+    Everything between them runs on Python floats from one .tolist() each,
+    every step the IEEE operation an elementwise array version takes, in
+    the same order (x * x, as ** raises on overflow; _quotient, as Python's
+    division raises where IEEE gives inf or nan). So the row is bit for bit
+    that of a numpy tail, without numpy's overhead on arrays of 3 to 12
+    elements.
 
     V is refused first when eps cond_2(V) exceeds PHYSICALITY_ATOL: rounding
     then moves the measures by more than the Heisenberg slack. At large
@@ -335,51 +343,53 @@ def _measures(v) -> np.ndarray:
     rounded drift and diffusion matrices is unphysical, so no solver can do
     better.
     """
-    w = np.abs(np.linalg.eigvalsh(v))
-    cond = float(w.max() / w.min()) if w.min() > 0.0 else math.inf
+    w = [abs(x) for x in np.linalg.eigvalsh(v).tolist()]
+    # a nan eigenvalue, which min and max can pass over, reads as cond = inf
+    cond = max(w) / min(w) if min(w) > 0.0 and not math.isnan(sum(w)) else math.inf
     if not _EPS * cond <= PHYSICALITY_ATOL:
         raise NumericalError(
             f"covariance matrix too ill-conditioned for its measures "
             f"(eps * cond(V) = {_EPS * cond:.3e} > {PHYSICALITY_ATOL:g})"
         )
-    spectra = np.sort(np.abs(np.linalg.eigvals(_SPECTRUM_FORMS @ v).imag))
+    spectra = np.linalg.eigvals(_SPECTRUM_FORMS @ v).imag.tolist()
     # +/- i nu pairs: the second-smallest modulus is the smallest nu
-    nu_min = _require_heisenberg(float(spectra[0, 1]))
+    nu_min = _require_heisenberg(sorted(map(abs, spectra[0]))[1])
 
-    blocks = v.reshape(3, 2, 3, 2)
-    det_blocks = (
-        blocks[:, 0, :, 0] * blocks[:, 1, :, 1] - blocks[:, 0, :, 1] * blocks[:, 1, :, 0]
-    )
+    # 2 eta of each one-vs-two split, 4 eta^2 of each pair, then
+    # det A / (4 det sigma) of each steering direction
+    log_args = [2.0 * min(map(abs, spectrum)) for spectrum in spectra[1:]]
+    steering_args = []
+    x = v.tolist()
+    det_modes = [x[i][i] * x[i + 1][i + 1] - x[i][i + 1] * x[i + 1][i] for i in (0, 2, 4)]
     pair_cms = v[_PAIR_INDEX[:, :, None], _PAIR_INDEX[:, None, :]]
-    det_pairs = np.linalg.det(pair_cms)
-    det_a, det_b = det_blocks[_PAIR_A, _PAIR_A], det_blocks[_PAIR_B, _PAIR_B]
-    delta_pt = det_a + det_b - 2.0 * det_blocks[_PAIR_A, _PAIR_B]
-    g = (pair_cms[:, :2] @ _PAIR_TWIST @ pair_cms[:, :, 2:]).reshape(-1, 4)
-    det_g = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
-    split = np.sqrt(np.maximum((det_a - det_b) ** 2 - 4.0 * det_g, 0.0))
-    # the rationalized root: (Dt - split) / 2 cancels digits when eta is small
-    eta_sq = 2.0 * det_pairs / (delta_pt + split)
-    log_args = np.concatenate([
-        2.0 * spectra[1:, 0],
-        4.0 * eta_sq,
-        det_blocks[_STEERER, _STEERER] / (4.0 * det_pairs[_DIRECTION_PAIR]),
-    ])
+    g = (pair_cms[:, :2] @ _PAIR_TWIST @ pair_cms[:, :, 2:]).reshape(-1, 4).tolist()
+    for (a, b), det_pair, (g0, g1, g2, g3) in zip(_PAIRS, np.linalg.det(pair_cms).tolist(), g):
+        i, j = 2 * a, 2 * b
+        det_a, det_b = det_modes[a], det_modes[b]
+        delta_pt = det_a + det_b - 2.0 * (x[i][j] * x[i + 1][j + 1] - x[i][j + 1] * x[i + 1][j])
+        diff = det_a - det_b
+        split = math.sqrt(max(diff * diff - 4.0 * (g0 * g3 - g1 * g2), 0.0))
+        # the rationalized root: (Dt - split) / 2 cancels digits when eta is small
+        log_args.append(4.0 * _quotient(2.0 * det_pair, delta_pt + split))
+        steering_args += _quotient(det_a, 4.0 * det_pair), _quotient(det_b, 4.0 * det_pair)
     # a partially transposed eigenvalue below the rounding error of V can
     # come out as zero; the finiteness test below refuses the infinite
     # negativity, so numpy is not let warn of it
-    # np.maximum may return either equal argument; + 0.0 turns -0.0 into 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.maximum(0.0, _LOG_SCALES * np.log(log_args)) + 0.0
+        logs = np.log(log_args + steering_args).tolist()
+    # max(0, scale ln), a nan let through to the finiteness test, -0.0 read as 0.0
+    logs = [0.0 if y <= 0.0 else y for y in map(operator.mul, _LOG_SCALES, logs)]
     e_n_split, e_n_pairs, zeta = logs[:3], logs[3:6], logs[6:]
 
     # each focus mode's contangle less those of the two pairs holding it
-    residuals = e_n_split**2 - (e_n_pairs**2)[_HOLDING_PAIRS].sum(axis=1)
-    row = np.concatenate([  # in _LAYOUT order
-        e_n_pairs, [e_n_pairs[1:].max()], e_n_split,
-        residuals, [_clamp_residual(residuals.min())],
-        zeta, np.abs(zeta[::2] - zeta[1::2]), [nu_min],
-    ])
-    if not np.isfinite(row).all():
+    squares = [e * e for e in e_n_pairs]
+    residuals = [e * e - (squares[h] + squares[k]) for e, (h, k) in zip(e_n_split, _HOLDING_PAIRS)]
+    row = [  # in _LAYOUT order
+        *e_n_pairs, max(e_n_pairs[1:]), *e_n_split,
+        *residuals, _clamp_residual(min(residuals)),
+        *zeta, *[abs(a - b) for a, b in zip(zeta[::2], zeta[1::2])], nu_min,
+    ]
+    if not all(map(math.isfinite, row)):
         raise NumericalError("a correlation measure is not finite")
     return row
 
@@ -392,5 +402,6 @@ def full_report(p: PhysicalParams) -> CorrelationReport:
         row = _measures(v)
     except CavmagError as exc:
         raise type(exc)(f"{exc} [at parameter point {p}]") from exc
-    values = dict(zip(REPORT_COLUMNS, [*row.tolist(), report.max_real_part], strict=True))
+    row.append(report.max_real_part)
+    values = dict(zip(REPORT_COLUMNS, row, strict=True))
     return CorrelationReport(p, report, values)

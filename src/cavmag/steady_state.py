@@ -48,15 +48,41 @@ def stability(m) -> StabilityReport:
     return StabilityReport(max_real_part=max_real, spectrum=spectrum, stable=max_real < 0.0)
 
 
+# I (x) M + M (x) I for an n x n drift M has entry [(i, k), (j, l)] =
+# delta_ij M_kl + M_ij delta_kl. _kron_sum gathers it from vec(M) followed by
+# +0.0 and -0.0 through two index tables: the first picks M_kl where i == j
+# and +0.0 elsewhere, the second M_ij where k == l and -0.0 elsewhere.
+# Adding -0.0 leaves every float as it is, and +0.0 + x is what adding x into
+# a zeroed entry gives, so each entry is the IEEE sum that a zeroed 4-D array
+# with two accumulating writes holds, signed zeros included.
+def _kron_sum_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    i, k, j, l = np.indices((n, n, n, n)).reshape(4, n * n, n * n)
+    return np.where(i == j, k * n + l, n * n), np.where(k == l, i * n + j, n * n + 1)
+
+
+_KRON_SUM_6 = _kron_sum_tables(6)  # the three-mode drift's, built once
+_SIGNED_ZEROS = np.array([0.0, -0.0])
+
+
+def _kron_sum(m: np.ndarray) -> np.ndarray:
+    """The Lyapunov operator I (x) M + M (x) I of a square float matrix."""
+    n = m.shape[0]
+    left, right = _KRON_SUM_6 if n == 6 else _kron_sum_tables(n)
+    padded = np.concatenate((m.ravel(), _SIGNED_ZEROS))
+    return padded.take(left) + padded.take(right)
+
+
 def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
     """Steady-state covariance matrix for drift m and diffusion d.
 
     Returns (v, report), where report is the drift's stability report.
     Refuses unstable drift matrices: the algebraic solution only describes
-    the long-time state when m is Hurwitz. v is symmetrized to remove
-    round-off asymmetry and checked against the residual bound; for
-    symmetric v, V M^T is the transpose of M V, so one product gives the
-    residual.
+    the long-time state when m is Hurwitz, and a d of another shape or with
+    non-finite entries, both before the linear solve. The 36x36 operator
+    comes from vec(m) by two gathers (_kron_sum) through index tables built
+    at import. v is symmetrized to remove round-off asymmetry and
+    checked against the residual bound; for symmetric v, V M^T is the
+    transpose of M V, so one product gives the residual.
     """
     m = np.asarray(m, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -70,12 +96,7 @@ def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
     if not np.isfinite(d).all():
         raise DomainError("d contains non-finite entries")
     n = m.shape[0]
-    # I (x) M + M (x) I: entry [(i, k), (j, l)] is delta_ij M_kl + M_ij delta_kl
-    coeff = np.zeros((n, n, n, n))
-    diag = np.arange(n)
-    coeff[diag, :, diag, :] = m
-    coeff[:, diag, :, diag] += m
-    coeff = coeff.reshape(n * n, n * n)
+    coeff = _kron_sum(m)
     try:
         # every eigenvalue of coeff is a sum lambda_i + lambda_j of drift
         # eigenvalues, so Re < 0 after the stability check: LAPACK reporting

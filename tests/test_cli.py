@@ -137,6 +137,22 @@ class TestConfigFile:
         assert run_cli(capsys, *common, "--format", "xml") == expected
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "key, value", [("format", "json"), ("workers", "2"), ("out", "x.csv"), ("grid", "5")]
+    )
+    def test_point_refuses_a_run_setting(self, capsys, tmp_path, monkeypatch, key, value):
+        # point takes no run setting: a key for one exits 1 like the flag does,
+        # with one line naming the key and the file, and writes nothing
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"r = 0.2\n{key} = {value}\n", encoding="utf-8")
+        assert run_cli(capsys, "point", "--config", str(cfg)) == (
+            1, "", f"error: {cfg}: run setting {key!r} is taken by figure, sweep and "
+                   f"stability, not by point\n",
+        )
+        assert run_cli(capsys, "point", f"--{key}", value)[:2] == (1, "")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just words\n", encoding="utf-8")

@@ -152,9 +152,11 @@ COLUMN_ORACLE_POINTS = {
 # Names of the block-invariant kernel of full_report, and the functions of
 # the eigenvalue reference it is tested against, which must read none of them.
 KERNEL_NAMES = {
-    "_measures", "_SPECTRUM_MASKS", "_SPECTRUM_FORMS", "_PAIR_INDEX", "_PAIR_A", "_PAIR_B",
-    "_PAIR_TWIST", "_HOLDING_PAIRS", "_STEERER", "_DIRECTION_PAIR", "_LOG_SCALES",
+    "_measures", "_quotient", "_SPECTRUM_MASKS", "_SPECTRUM_FORMS", "_PAIR_INDEX",
+    "_PAIR_TWIST", "_HOLDING_PAIRS", "_LOG_SCALES",
 }
+# Module-level names of measures.py that the kernel shares with the reference.
+SHARED_NAMES = {"_PAIRS", "_EPS", "PHYSICALITY_ATOL", "_require_heisenberg", "_clamp_residual"}
 REFERENCE_FUNCTIONS = (
     "as_mode", "symplectic_form", "reduce", "symplectic_eigenvalues", "_pt_negativity",
     "log_negativity", "log_negativity_one_vs_two", "residual_contangle",
@@ -644,6 +646,90 @@ class TestBatchedReport:
         for name in REFERENCE_FUNCTIONS:
             read = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
             assert not read & KERNEL_NAMES, name
+
+    def test_kernel_names_follow_the_kernel(self):
+        # every kernel name is still defined, and every module-level name a
+        # kernel function reads is a kernel name or a declared shared one, so
+        # the guard above sees each name the kernel reads
+        with open(measures.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        defined = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defined[name.id] = node
+        assert KERNEL_NAMES <= set(defined), KERNEL_NAMES - set(defined)
+        assert SHARED_NAMES <= set(defined), SHARED_NAMES - set(defined)
+        for name in KERNEL_NAMES:
+            if isinstance(defined[name], ast.FunctionDef):
+                read = {n.id for n in ast.walk(defined[name]) if isinstance(n, ast.Name)}
+                unlisted = (read & set(defined)) - KERNEL_NAMES - SHARED_NAMES
+                assert not unlisted, (name, unlisted)
+
+    def test_quotient_is_ieee_division(self):
+        # the scalar tail divides with _quotient: where Python raises
+        # ZeroDivisionError it gives numpy's inf or nan, signs included
+        values = [1.0, -2.5, 0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308]
+        with np.errstate(all="ignore"):
+            for a, b in itertools.product(values, repeat=2):
+                expected = float(np.divide(a, b))
+                got = measures._quotient(a, b)
+                assert math.isnan(got) if math.isnan(expected) else (
+                    got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
+                ), (a, b)
+
+    def test_refusals_of_hand_built_cms(self):
+        # a sub-vacuum V is unphysical; a singular V, or an indefinite one
+        # with an eigenvalue at the rounding level of V, as rounding gives
+        # at r = 20, is ill-conditioned; numpy warns of none of them
+        rank_5 = np.eye(6)
+        rank_5[5, 5] = 0.0
+        # eigvalsh gives nan for the cavity 1 block here and 1 elsewhere; a
+        # nan eigenvalue reads as an infinite condition number
+        with_nan = np.eye(6)
+        with_nan[2, 3] = with_nan[3, 2] = np.nan
+        cases = [
+            (0.4 * np.eye(6), PhysicalityError,
+             r"Heisenberg bound \(min symplectic eigenvalue 0\.4 < 1/2\)"),
+            (np.zeros((6, 6)), NumericalError, r"ill-conditioned .*eps \* cond\(V\) = inf"),
+            (rank_5, NumericalError, r"ill-conditioned .*eps \* cond\(V\) = inf"),
+            (with_nan, NumericalError, r"ill-conditioned .*eps \* cond\(V\) = inf"),
+            (np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1e-12]), NumericalError,
+             r"ill-conditioned .*eps \* cond\(V\) = 2\.220e-04"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v, error, message in cases:
+                with pytest.raises(error, match=message):
+                    measures._measures(v)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        h=st.lists(st.floats(-4.0, 4.0), min_size=21, max_size=21),
+        nu=st.lists(st.floats(0.45, 1e4), min_size=3, max_size=3),
+    )
+    def test_scalar_tail_returns_floats_or_refuses(self, h, nu):
+        # S diag(nu) S^T over strong squeezing and hot or sub-vacuum modes:
+        # the row is 21 finite Python floats or a named refusal, with no
+        # ZeroDivisionError, ValueError or numpy warning on the way
+        upper = np.zeros((6, 6))
+        upper[np.triu_indices(6)] = h
+        s = scipy.linalg.expm(measures.OMEGA_3 @ (upper + np.triu(upper, 1).T))
+        v = s @ np.diag(np.repeat(nu, 2)) @ s.T
+        v = 0.5 * (v + v.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                row = measures._measures(v)
+            except (NumericalError, PhysicalityError):
+                return
+        assert len(row) == len(measures.REPORT_COLUMNS) - 1
+        assert all(type(x) is float and math.isfinite(x) for x in row)
 
     def test_root_split_identity(self, rng):
         # Dt^2 - 4 det sigma = (det A - det B)^2 - 4 det G, with G the upper

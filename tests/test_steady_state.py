@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from cavmag.errors import StabilityError
+from cavmag import steady_state
+from cavmag.errors import DimensionError, DomainError, StabilityError
 from cavmag.measures import symplectic_eigenvalues
 from cavmag.model import default_params, diffusion_matrix, drift_matrix
 from cavmag.steady_state import LYAPUNOV_RESIDUAL_RTOL, solve_lyapunov, stability
@@ -91,6 +93,48 @@ class TestSolveLyapunov:
             expected = stability(m)
             assert report.stable and report.max_real_part == expected.max_real_part
             assert np.array_equal(report.spectrum, expected.spectrum)
+
+    @pytest.mark.parametrize("d, error, message", [
+        (np.eye(4), DimensionError, r"d has shape \(4, 4\), expected \(6, 6\)"),
+        (np.ones(36), DimensionError, r"d has shape \(36,\), expected \(6, 6\)"),
+        (np.diag([1.0, 1.0, np.nan, 1.0, 1.0, 1.0]), DomainError, "d contains non-finite"),
+        (np.full((6, 6), np.inf), DomainError, "d contains non-finite"),
+    ], ids=["4x4", "vector", "nan", "inf"])
+    def test_bad_diffusion_is_refused_before_the_solve(self, monkeypatch, d, error, message):
+        def refuse(*args):
+            raise AssertionError("the 36x36 solve was reached")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        with pytest.raises(error, match=message):
+            solve_lyapunov(drift_matrix(default_params()), d)
+
+    def test_operator_is_the_accumulated_kronecker_sum(self, rng):
+        # the two gathers give, entry for entry and signed zeros included,
+        # what a zeroed 4-D array with two accumulating writes holds
+        for n in (1, 2, 3, 6):
+            for _ in range(10):
+                m = rng.normal(size=(n, n))
+                m[rng.random((n, n)) < 0.3] = 0.0
+                m[rng.random((n, n)) < 0.3] = -0.0
+                expected = np.zeros((n, n, n, n))
+                diag = np.arange(n)
+                expected[diag, :, diag, :] = m
+                expected[:, diag, :, diag] += m
+                expected = expected.reshape(n * n, n * n)
+                got = steady_state._kron_sum(m)
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_other_sizes_solve(self, rng, n):
+        # the tables for a size other than the three-mode 6 are built per call
+        a = rng.normal(size=(n, n))
+        m = a - a.T - 2.0 * np.eye(n)
+        b = rng.normal(size=(n, n))
+        d = b @ b.T
+        v, _ = solve_lyapunov(m, d)
+        expected = scipy.linalg.solve_continuous_lyapunov(m, -d)
+        assert np.abs(v - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_refuses_unstable_drift(self):
         with pytest.raises(StabilityError):
