@@ -341,15 +341,25 @@ def _measures(v) -> list:
     then moves the measures by more than the Heisenberg slack. At large
     squeezing (from r = 5.56 at default_params) even the exact V of the
     rounded drift and diffusion matrices is unphysical, so no solver can do
-    better.
+    better. A well-conditioned V is then refused unless it is positive
+    definite: the symplectic spectrum of an indefinite V such as
+    -I_2 (+) I_4 is all 1, so the Heisenberg check alone would pass it.
+    Positive definite with nu_min >= 1/2 is V + i Omega / 2 >= 0 (Williamson).
     """
-    w = [abs(x) for x in np.linalg.eigvalsh(v).tolist()]
+    eigenvalues = np.linalg.eigvalsh(v).tolist()
+    w = [abs(x) for x in eigenvalues]
     # a nan eigenvalue, which min and max can pass over, reads as cond = inf
     cond = max(w) / min(w) if min(w) > 0.0 and not math.isnan(sum(w)) else math.inf
     if not _EPS * cond <= PHYSICALITY_ATOL:
         raise NumericalError(
             f"covariance matrix too ill-conditioned for its measures "
             f"(eps * cond(V) = {_EPS * cond:.3e} > {PHYSICALITY_ATOL:g})"
+        )
+    # eigvalsh sorts ascending
+    if eigenvalues[0] <= 0.0:
+        raise PhysicalityError(
+            f"covariance matrix is not positive definite "
+            f"(smallest eigenvalue {eigenvalues[0]:.6g} <= 0)"
         )
     spectra = np.linalg.eigvals(_SPECTRUM_FORMS @ v).imag.tolist()
     # +/- i nu pairs: the second-smallest modulus is the smallest nu

@@ -42,8 +42,13 @@ class StabilityReport:
 
 
 def stability(m) -> StabilityReport:
-    """Assess Hurwitz stability of a drift matrix from its full spectrum."""
+    """Assess Hurwitz stability of a drift matrix from its full spectrum.
+
+    The report's spectrum is read-only: solve_lyapunov hands the same report
+    to every call with the same drift, so no caller may change it.
+    """
     spectrum = numerics.eig_general(m)
+    spectrum.flags.writeable = False
     max_real = float(spectrum.real.max())
     return StabilityReport(max_real_part=max_real, spectrum=spectrum, stable=max_real < 0.0)
 
@@ -72,6 +77,12 @@ def _kron_sum(m: np.ndarray) -> np.ndarray:
     return padded.take(left) + padded.take(right)
 
 
+# The last drift solve_lyapunov accepted: ((shape, bytes), its report, its
+# read-only operator). It is replaced whole by one rebinding, so a thread
+# reads the old entry or the new one, never a mix.
+_last_drift = (None, None, None)
+
+
 def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
     """Steady-state covariance matrix for drift m and diffusion d.
 
@@ -83,20 +94,34 @@ def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
     at import. v is symmetrized to remove round-off asymmetry and
     checked against the residual bound; for symmetric v, V M^T is the
     transpose of M V, so one product gives the residual.
+
+    The last accepted drift is kept, keyed by its shape and bytes, with its
+    report and its operator (read-only). A call with the same drift, as at
+    every point of an r x T sweep, skips the eigen-solve and the operator
+    build and returns that same report; the checks of d, the solve and the
+    residual bound run on every call. Only a drift that passed the
+    stability check is kept, so an unstable, non-finite or non-square one is
+    refused on every call.
     """
+    global _last_drift
     m = np.asarray(m, dtype=float)
     d = np.asarray(d, dtype=float)
-    report = stability(m)
-    if not report.stable:
-        raise StabilityError(
-            f"drift matrix is unstable (max Re lambda = {report.max_real_part:.6e})"
-        )
+    key = (m.shape, m.tobytes())
+    last_key, report, coeff = _last_drift
+    if key != last_key:
+        report = stability(m)
+        if not report.stable:
+            raise StabilityError(
+                f"drift matrix is unstable (max Re lambda = {report.max_real_part:.6e})"
+            )
+        coeff = _kron_sum(m)
+        coeff.flags.writeable = False
+        _last_drift = (key, report, coeff)
     if d.shape != m.shape:
         raise DimensionError(f"d has shape {d.shape}, expected {m.shape}")
     if not np.isfinite(d).all():
         raise DomainError("d contains non-finite entries")
     n = m.shape[0]
-    coeff = _kron_sum(m)
     try:
         # every eigenvalue of coeff is a sum lambda_i + lambda_j of drift
         # eigenvalues, so Re < 0 after the stability check: LAPACK reporting

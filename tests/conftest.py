@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cavmag
+from cavmag import steady_state
 from cavmag.model import TWO_PI, PhysicalParams
 
 KAPPA_C = TWO_PI * 5e6
@@ -43,6 +44,16 @@ def random_params(rng, stiff=False) -> PhysicalParams:
         r=rng.uniform(0.0, 0.8),
         temperature=rng.uniform(0.0, 0.3),
     )
+
+
+@pytest.fixture(autouse=True)
+def no_kept_drift(monkeypatch):
+    """Every test starts with solve_lyapunov's memo of the last drift empty.
+
+    A test that fakes steady_state.stability then sees its fake called,
+    whatever drift the tests before it solved.
+    """
+    monkeypatch.setattr(steady_state, "_last_drift", (None, None, None))
 
 
 @pytest.fixture

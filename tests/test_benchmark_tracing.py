@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cavmag import measures
+from cavmag import measures, steady_state
 from cavmag.model import default_params
 from cavmag.sweep import figure_preset, run_sweep, with_resolution
 
@@ -32,10 +32,19 @@ def test_traced_attribute_exists(owner, attr):
     assert callable(getattr(owner, attr))
 
 
-def test_full_report_solves_the_drift_spectrum_once():
+def test_full_report_solves_the_drift_spectrum_once(monkeypatch):
+    # r leaves the drift as it is, so solve_lyapunov's memo of the last
+    # drift serves the second and third reports; a new delta_1 is a new drift
+    monkeypatch.setattr(steady_state, "_last_drift", (None, None, None))
     with tracing.Tracer() as tracer:
         for r in (0.2, 0.5, 0.8):
             measures.full_report(default_params().replace(r=r))
+    assert tracer.counts["steady_state.stability"] == 1
+    assert tracer.counts["numerics.eig_general"] == 1
+    base = default_params()
+    with tracing.Tracer() as tracer:
+        for delta_1 in (0.5, 1.0, 1.5):
+            measures.full_report(base.replace(delta_1=delta_1 * base.kappa_1))
     assert tracer.counts["steady_state.stability"] == 3
     assert tracer.counts["numerics.eig_general"] == 3
 

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cavmag.measures as measures
+from cavmag import steady_state
 from cavmag.errors import DomainError, NumericalError, PhysicalityError, StabilityError
 from cavmag.measures import (
     Mode,
@@ -684,9 +685,9 @@ class TestBatchedReport:
                 ), (a, b)
 
     def test_refusals_of_hand_built_cms(self):
-        # a sub-vacuum V is unphysical; a singular V, or an indefinite one
-        # with an eigenvalue at the rounding level of V, as rounding gives
-        # at r = 20, is ill-conditioned; numpy warns of none of them
+        # a sub-vacuum V or an indefinite one is unphysical; a singular V, or
+        # an indefinite one with an eigenvalue at the rounding level of V, as
+        # rounding gives at r = 20, is ill-conditioned; numpy warns of none
         rank_5 = np.eye(6)
         rank_5[5, 5] = 0.0
         # eigvalsh gives nan for the cavity 1 block here and 1 elsewhere; a
@@ -701,6 +702,12 @@ class TestBatchedReport:
             (with_nan, NumericalError, r"ill-conditioned .*eps \* cond\(V\) = inf"),
             (np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1e-12]), NumericalError,
              r"ill-conditioned .*eps \* cond\(V\) = 2\.220e-04"),
+            # well conditioned but indefinite: every 2x2 block of Omega V
+            # still has eigenvalues +/- i nu, so only the sign check refuses
+            (np.diag([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0]), PhysicalityError,
+             r"not positive definite \(smallest eigenvalue -1 <= 0\)"),
+            (np.diag([-0.6, -0.6, 0.5, 0.5, 0.5, 0.5]), PhysicalityError,
+             r"not positive definite \(smallest eigenvalue -0\.6 <= 0\)"),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -752,7 +759,8 @@ class TestBatchedReport:
     def test_five_lapack_calls_per_point(self, monkeypatch):
         # README's count: the drift spectrum, the 36x36 solve, eigvalsh of V,
         # one stacked eigvals for the four spectra, one stacked det for the
-        # three pairs
+        # three pairs; four when the drift is the previous call's, whose
+        # spectrum solve_lyapunov keeps
         calls = collections.Counter()
 
         def counted(name, real):
@@ -767,9 +775,14 @@ class TestBatchedReport:
             points = json.load(handle)["points"]
         for entry in points:
             if not entry.get("forced_unstable"):
+                p = PhysicalParams(**entry["params"])
+                monkeypatch.setattr(steady_state, "_last_drift", (None, None, None))
                 calls.clear()
-                full_report(PhysicalParams(**entry["params"]))
+                full_report(p)
                 assert calls == {"eigvals": 2, "eigvalsh": 1, "solve": 1, "det": 1}, entry["label"]
+                calls.clear()
+                full_report(p.replace(r=0.5 * p.r))
+                assert calls == {"eigvals": 1, "eigvalsh": 1, "solve": 1, "det": 1}, entry["label"]
 
     def test_no_determinant_check_is_reached_at_golden_points(self, monkeypatch):
         # the Heisenberg check on V bounds every determinant whose logarithm

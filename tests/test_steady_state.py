@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from cavmag import steady_state
 from cavmag.errors import DimensionError, DomainError, StabilityError
-from cavmag.measures import symplectic_eigenvalues
+from cavmag.measures import full_report, symplectic_eigenvalues
 from cavmag.model import default_params, diffusion_matrix, drift_matrix
 from cavmag.steady_state import LYAPUNOV_RESIDUAL_RTOL, solve_lyapunov, stability
 from conftest import KAPPA_C, random_params
@@ -160,6 +163,111 @@ class TestSolveLyapunov:
         d = diffusion_matrix(p)
         v_mp = lyapunov_mp(m, d)
         assert np.abs(solve_lyapunov(m, d)[0] - v_mp).max() <= 1e-14 * np.abs(v_mp).max()
+
+
+class TestDriftMemo:
+    """solve_lyapunov keeps the last accepted drift's report and operator."""
+
+    EMPTY = (None, None, None)
+
+    def test_repeated_drift_returns_the_same_report_and_a_cold_v(self, monkeypatch):
+        p = default_params()
+        m = drift_matrix(p)
+        _, first = solve_lyapunov(m, diffusion_matrix(p))
+        d = diffusion_matrix(p.replace(r=0.7, temperature=0.3))
+        v, report = solve_lyapunov(m, d)
+        assert report is first
+        monkeypatch.setattr(steady_state, "_last_drift", self.EMPTY)
+        v_cold, report_cold = solve_lyapunov(m, d)
+        assert report is not report_cold
+        assert np.array_equal(v, v_cold)
+        assert np.array_equal(report.spectrum, report_cold.spectrum)
+
+    def test_unstable_drift_is_refused_every_call_and_not_kept(self):
+        p = default_params()
+        solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
+        kept = steady_state._last_drift
+        messages = []
+        for _ in range(2):
+            with pytest.raises(StabilityError) as err:
+                solve_lyapunov(np.eye(6), np.eye(6))
+            messages.append(str(err.value))
+            assert steady_state._last_drift is kept
+        assert messages[0] == messages[1] == (
+            "drift matrix is unstable (max Re lambda = 1.000000e+00)"
+        )
+
+    def test_same_bytes_in_another_shape_miss(self):
+        p = default_params()
+        m = drift_matrix(p)
+        solve_lyapunov(m, diffusion_matrix(p))
+        with pytest.raises(DimensionError, match=r"must be square, got shape \(4, 9\)"):
+            solve_lyapunov(m.reshape(4, 9), np.eye(6).reshape(4, 9))
+
+    def test_signed_zero_drift_is_its_own_entry(self, monkeypatch):
+        # at zero magnon detuning the drift holds -0.0 where -delta_m is
+        # taken; LAPACK's reflections read the sign of a zero, so the two
+        # drifts can have spectra that differ in the last bits
+        p = default_params().replace(delta_1=KAPPA_C, delta_2=-KAPPA_C, delta_m=0.0)
+        m_negative = drift_matrix(p)
+        m_positive = m_negative + 0.0
+        negative_zeros = np.signbit(m_negative) & (m_negative == 0.0)
+        assert negative_zeros.any() and not np.signbit(m_positive[negative_zeros]).any()
+        d = diffusion_matrix(p)
+        for cached, asked in ((m_positive, m_negative), (m_negative, m_positive)):
+            monkeypatch.setattr(steady_state, "_last_drift", self.EMPTY)
+            v_cold, report_cold = solve_lyapunov(asked, d)
+            monkeypatch.setattr(steady_state, "_last_drift", self.EMPTY)
+            solve_lyapunov(cached, d)
+            v, report = solve_lyapunov(asked, d)
+            assert np.array_equal(v, v_cold)
+            assert np.array_equal(np.signbit(v), np.signbit(v_cold))
+            assert report.max_real_part == report_cold.max_real_part
+            assert np.array_equal(report.spectrum, report_cold.spectrum)
+
+    def test_threads_sharing_the_memo_get_cold_results(self, monkeypatch):
+        # six threads on two cores, each cycling through three drifts and
+        # three diffusions with a short switch interval: a report or an
+        # operator mixed up between drifts would change V or the spectrum
+        base = default_params()
+        points = [base.replace(delta_1=k * KAPPA_C, r=r)
+                  for k in (0.5, 1.0, 1.5) for r in (0.2, 0.5, 0.8)]
+        problems = [(drift_matrix(p), diffusion_matrix(p)) for p in points]
+        expected = []
+        for m, d in problems:
+            monkeypatch.setattr(steady_state, "_last_drift", self.EMPTY)
+            v, report = solve_lyapunov(m, d)
+            expected.append((v, report.spectrum))
+        failures = []
+
+        def work(offset):
+            for step in range(150):
+                k = (offset + step * (1 + offset % 2)) % len(problems)
+                v, report = solve_lyapunov(*problems[k])
+                if not (np.array_equal(v, expected[k][0])
+                        and np.array_equal(report.spectrum, expected[k][1])):
+                    failures.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_shared_arrays_refuse_writes(self):
+        report = full_report(default_params())
+        with pytest.raises(ValueError, match="read-only"):
+            report.stability.spectrum[0] = 0.0
+        operator = steady_state._last_drift[2]
+        with pytest.raises(ValueError, match="read-only"):
+            operator[0, 0] = 0.0
 
 
 class TestStability:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cavmag.sweep as sweep_mod
+from cavmag import steady_state
 from cavmag.errors import CavmagError, PhysicalityError, ValidationError
 from cavmag.measures import REPORT_COLUMNS, full_report
 from cavmag.model import default_params
@@ -154,6 +155,35 @@ class TestRunSweep:
         grid = run_sweep(spec).grid("e_n_c1c2")
         assert grid.shape == (2, 3)
         assert np.all(grid[0, :] == 0.0)
+
+    def test_shared_drift_rows_match_cold_solves(self, monkeypatch):
+        # an r x T sweep has one drift: its points after the first take the
+        # drift's spectrum and operator from solve_lyapunov's memo, and each
+        # cell is the one a solve from scratch gives, to the last bit
+        spec = replace(with_resolution(figure_preset("fig4a"), (5, 5)), quantities=REPORT_COLUMNS)
+        real_stability = steady_state.stability
+        warm_solves = []
+
+        def counted(m):
+            warm_solves.append(m)
+            return real_stability(m)
+
+        monkeypatch.setattr(steady_state, "stability", counted)
+        warm = run_sweep(spec).rows
+        assert len(warm_solves) == 1
+        monkeypatch.setattr(steady_state, "stability", real_stability)
+        real_report = sweep_mod.full_report
+
+        def cold_report(params):
+            steady_state._last_drift = (None, None, None)
+            return real_report(params)
+
+        monkeypatch.setattr(sweep_mod, "full_report", cold_report)
+        cold = run_sweep(spec).rows
+        assert len(warm) == len(cold) == 25
+        for warm_row, cold_row in zip(warm, cold):
+            assert warm_row[-1] is cold_row[-1]
+            assert [x.hex() for x in warm_row[:-1]] == [x.hex() for x in cold_row[:-1]]
 
     def test_parallel_matches_serial(self):
         spec = with_resolution(figure_preset("fig4a"), (5, 5))
