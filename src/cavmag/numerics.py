@@ -1,8 +1,10 @@
-"""Minimal dense linear-algebra kernel.
+"""Validated dense eigen-solve, and an LU solve kept for the benchmark.
 
-Everything here operates on small dense real matrices (6x6 system matrices,
-36x36 vectorized solves). The heavy lifting is delegated to LAPACK through
-numpy/scipy; this module adds the validation and the error taxonomy.
+eig_general is the drift eigen-solve behind steady_state.stability: it
+refuses a matrix that is not 2-D, square and finite, then calls LAPACK
+through numpy. solve_linear, an LU solve with a pivot-based singularity
+guard, has no production caller; it stays only because the benchmark's
+tracer in perfbench/ names it (ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ symplectic eigenvalue = 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +43,8 @@ class StabilityReport:
 
 
 def stability(m) -> StabilityReport:
-    """Assess Hurwitz stability of a drift matrix from its full spectrum.
-
-    The report's spectrum is read-only: solve_lyapunov hands the same report
-    to every call with the same drift, so no caller may change it.
-    """
+    """Assess Hurwitz stability of a drift matrix from its full spectrum."""
     spectrum = numerics.eig_general(m)
-    spectrum.flags.writeable = False
     max_real = float(spectrum.real.max())
     return StabilityReport(max_real_part=max_real, spectrum=spectrum, stable=max_real < 0.0)
 
@@ -60,27 +56,41 @@ def stability(m) -> StabilityReport:
 # Adding -0.0 leaves every float as it is, and +0.0 + x is what adding x into
 # a zeroed entry gives, so each entry is the IEEE sum that a zeroed 4-D array
 # with two accumulating writes holds, signed zeros included.
+@functools.cache
 def _kron_sum_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     i, k, j, l = np.indices((n, n, n, n)).reshape(4, n * n, n * n)
     return np.where(i == j, k * n + l, n * n), np.where(k == l, i * n + j, n * n + 1)
 
 
-_KRON_SUM_6 = _kron_sum_tables(6)  # the three-mode drift's, built once
 _SIGNED_ZEROS = np.array([0.0, -0.0])
 
 
 def _kron_sum(m: np.ndarray) -> np.ndarray:
     """The Lyapunov operator I (x) M + M (x) I of a square float matrix."""
-    n = m.shape[0]
-    left, right = _KRON_SUM_6 if n == 6 else _kron_sum_tables(n)
+    left, right = _kron_sum_tables(m.shape[0])
     padded = np.concatenate((m.ravel(), _SIGNED_ZEROS))
     return padded.take(left) + padded.take(right)
 
 
-# The last drift solve_lyapunov accepted: ((shape, bytes), its report, its
-# read-only operator). It is replaced whole by one rebinding, so a thread
-# reads the old entry or the new one, never a mix.
-_last_drift = (None, None, None)
+@functools.lru_cache(maxsize=1)
+def _drift_stage(shape: tuple, data: bytes) -> tuple[StabilityReport, np.ndarray]:
+    """The stability report and the read-only Lyapunov operator of a drift.
+
+    The drift comes as its shape and its bytes in C order, the key under
+    which the last accepted drift is kept: a call with the same drift, as at
+    every point of an r x T sweep, returns the same report and operator. An
+    unstable drift raises StabilityError, and an exception is never kept.
+    """
+    m = np.frombuffer(data).reshape(shape)
+    report = stability(m)
+    if not report.stable:
+        raise StabilityError(
+            f"drift matrix is unstable (max Re lambda = {report.max_real_part:.6e})"
+        )
+    coeff = _kron_sum(m)
+    report.spectrum.flags.writeable = False
+    coeff.flags.writeable = False
+    return report, coeff
 
 
 def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
@@ -90,33 +100,16 @@ def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
     Refuses unstable drift matrices: the algebraic solution only describes
     the long-time state when m is Hurwitz, and a d of another shape or with
     non-finite entries, both before the linear solve. The 36x36 operator
-    comes from vec(m) by two gathers (_kron_sum) through index tables built
-    at import. v is symmetrized to remove round-off asymmetry and
-    checked against the residual bound; for symmetric v, V M^T is the
-    transpose of M V, so one product gives the residual.
-
-    The last accepted drift is kept, keyed by its shape and bytes, with its
-    report and its operator (read-only). A call with the same drift, as at
-    every point of an r x T sweep, skips the eigen-solve and the operator
-    build and returns that same report; the checks of d, the solve and the
-    residual bound run on every call. Only a drift that passed the
-    stability check is kept, so an unstable, non-finite or non-square one is
-    refused on every call.
+    comes from vec(m) by two gathers (_kron_sum). The report and the
+    operator come from _drift_stage, which keeps the last accepted drift's;
+    the checks of d, the solve and the residual bound run on every call. v is
+    symmetrized to remove round-off asymmetry and checked against the
+    residual bound; for symmetric v, V M^T is the transpose of M V, so one
+    product gives the residual.
     """
-    global _last_drift
     m = np.asarray(m, dtype=float)
     d = np.asarray(d, dtype=float)
-    key = (m.shape, m.tobytes())
-    last_key, report, coeff = _last_drift
-    if key != last_key:
-        report = stability(m)
-        if not report.stable:
-            raise StabilityError(
-                f"drift matrix is unstable (max Re lambda = {report.max_real_part:.6e})"
-            )
-        coeff = _kron_sum(m)
-        coeff.flags.writeable = False
-        _last_drift = (key, report, coeff)
+    report, coeff = _drift_stage(m.shape, m.tobytes())
     if d.shape != m.shape:
         raise DimensionError(f"d has shape {d.shape}, expected {m.shape}")
     if not np.isfinite(d).all():

@@ -47,13 +47,13 @@ def random_params(rng, stiff=False) -> PhysicalParams:
 
 
 @pytest.fixture(autouse=True)
-def no_kept_drift(monkeypatch):
-    """Every test starts with solve_lyapunov's memo of the last drift empty.
+def no_kept_drift():
+    """Every test starts with solve_lyapunov's kept drift cleared.
 
     A test that fakes steady_state.stability then sees its fake called,
     whatever drift the tests before it solved.
     """
-    monkeypatch.setattr(steady_state, "_last_drift", (None, None, None))
+    steady_state._drift_stage.cache_clear()
 
 
 @pytest.fixture

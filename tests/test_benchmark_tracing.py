@@ -32,10 +32,10 @@ def test_traced_attribute_exists(owner, attr):
     assert callable(getattr(owner, attr))
 
 
-def test_full_report_solves_the_drift_spectrum_once(monkeypatch):
-    # r leaves the drift as it is, so solve_lyapunov's memo of the last
-    # drift serves the second and third reports; a new delta_1 is a new drift
-    monkeypatch.setattr(steady_state, "_last_drift", (None, None, None))
+def test_full_report_solves_the_drift_spectrum_once():
+    # r leaves the drift as it is, so solve_lyapunov's kept drift serves the
+    # second and third reports; a new delta_1 is a new drift
+    steady_state._drift_stage.cache_clear()
     with tracing.Tracer() as tracer:
         for r in (0.2, 0.5, 0.8):
             measures.full_report(default_params().replace(r=r))

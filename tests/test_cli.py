@@ -322,12 +322,18 @@ class TestSweepCommand:
           "axes": [{"parameter": "r", "start": 0.0, "stop": 1.0, "count": 3}],
           "quantities": ["e_n_c1c2"], "bogus": 1},
          "error: sweep spec has unknown keys ['bogus']"),
+        ({"base": {"kappa_1": 1e7, "kappa_2": 1e7, "kappa_m": 1e6},
+          "axes": [{"parameter": "r", "start": 0.0, "stop": 1.0, "count": 1}],
+          "quantities": "e_n_c1c2"},
+         "error: invalid sweep spec: axes.count: must be >= 2, got 1 (axis 0, r); "
+         "quantities: expected a list of column names, got the string 'e_n_c1c2'"),
     ], ids=["string bounds", "no axes", "preset not a string", "not UTF-8",
-            "preset with other keys", "spec unknown key"])
+            "preset with other keys", "spec unknown key", "quantities a string"])
     def test_malformed_spec_exits_1_with_one_line(self, capsys, tmp_path, spec, message):
         # string bounds, a list preset and a byte that is not UTF-8 used to
-        # end in a traceback, and keys beside the ones read were ignored; a
-        # spec given as bytes is the whole file
+        # end in a traceback, keys beside the ones read were ignored, and a
+        # string of quantities was refused once per letter; a spec given as
+        # bytes is the whole file
         spec_path = tmp_path / "spec.json"
         spec_path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
         out_path = tmp_path / "out.csv"

@@ -130,7 +130,7 @@ class TestSolveLyapunov:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_other_sizes_solve(self, rng, n):
-        # the tables for a size other than the three-mode 6 are built per call
+        # every size takes the one path, with its index tables built once
         a = rng.normal(size=(n, n))
         m = a - a.T - 2.0 * np.eye(n)
         b = rng.normal(size=(n, n))
@@ -168,16 +168,14 @@ class TestSolveLyapunov:
 class TestDriftMemo:
     """solve_lyapunov keeps the last accepted drift's report and operator."""
 
-    EMPTY = (None, None, None)
-
-    def test_repeated_drift_returns_the_same_report_and_a_cold_v(self, monkeypatch):
+    def test_repeated_drift_returns_the_same_report_and_a_cold_v(self):
         p = default_params()
         m = drift_matrix(p)
         _, first = solve_lyapunov(m, diffusion_matrix(p))
         d = diffusion_matrix(p.replace(r=0.7, temperature=0.3))
         v, report = solve_lyapunov(m, d)
         assert report is first
-        monkeypatch.setattr(steady_state, "_last_drift", self.EMPTY)
+        steady_state._drift_stage.cache_clear()
         v_cold, report_cold = solve_lyapunov(m, d)
         assert report is not report_cold
         assert np.array_equal(v, v_cold)
@@ -185,17 +183,21 @@ class TestDriftMemo:
 
     def test_unstable_drift_is_refused_every_call_and_not_kept(self):
         p = default_params()
-        solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
-        kept = steady_state._last_drift
+        m, d = drift_matrix(p), diffusion_matrix(p)
+        _, kept = solve_lyapunov(m, d)
         messages = []
-        for _ in range(2):
+        for attempt in range(1, 3):
             with pytest.raises(StabilityError) as err:
                 solve_lyapunov(np.eye(6), np.eye(6))
             messages.append(str(err.value))
-            assert steady_state._last_drift is kept
+            info = steady_state._drift_stage.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (0, 1 + attempt, 1)
         assert messages[0] == messages[1] == (
             "drift matrix is unstable (max Re lambda = 1.000000e+00)"
         )
+        # the refusals left the kept drift in place
+        assert solve_lyapunov(m, d)[1] is kept
+        assert steady_state._drift_stage.cache_info().hits == 1
 
     def test_same_bytes_in_another_shape_miss(self):
         p = default_params()
@@ -204,7 +206,7 @@ class TestDriftMemo:
         with pytest.raises(DimensionError, match=r"must be square, got shape \(4, 9\)"):
             solve_lyapunov(m.reshape(4, 9), np.eye(6).reshape(4, 9))
 
-    def test_signed_zero_drift_is_its_own_entry(self, monkeypatch):
+    def test_signed_zero_drift_is_its_own_entry(self):
         # at zero magnon detuning the drift holds -0.0 where -delta_m is
         # taken; LAPACK's reflections read the sign of a zero, so the two
         # drifts can have spectra that differ in the last bits
@@ -215,9 +217,9 @@ class TestDriftMemo:
         assert negative_zeros.any() and not np.signbit(m_positive[negative_zeros]).any()
         d = diffusion_matrix(p)
         for cached, asked in ((m_positive, m_negative), (m_negative, m_positive)):
-            monkeypatch.setattr(steady_state, "_last_drift", self.EMPTY)
+            steady_state._drift_stage.cache_clear()
             v_cold, report_cold = solve_lyapunov(asked, d)
-            monkeypatch.setattr(steady_state, "_last_drift", self.EMPTY)
+            steady_state._drift_stage.cache_clear()
             solve_lyapunov(cached, d)
             v, report = solve_lyapunov(asked, d)
             assert np.array_equal(v, v_cold)
@@ -225,7 +227,7 @@ class TestDriftMemo:
             assert report.max_real_part == report_cold.max_real_part
             assert np.array_equal(report.spectrum, report_cold.spectrum)
 
-    def test_threads_sharing_the_memo_get_cold_results(self, monkeypatch):
+    def test_threads_sharing_the_memo_get_cold_results(self):
         # six threads on two cores, each cycling through three drifts and
         # three diffusions with a short switch interval: a report or an
         # operator mixed up between drifts would change V or the spectrum
@@ -235,7 +237,7 @@ class TestDriftMemo:
         problems = [(drift_matrix(p), diffusion_matrix(p)) for p in points]
         expected = []
         for m, d in problems:
-            monkeypatch.setattr(steady_state, "_last_drift", self.EMPTY)
+            steady_state._drift_stage.cache_clear()
             v, report = solve_lyapunov(m, d)
             expected.append((v, report.spectrum))
         failures = []
@@ -262,12 +264,46 @@ class TestDriftMemo:
         assert failures == []
 
     def test_shared_arrays_refuse_writes(self):
-        report = full_report(default_params())
+        p = default_params()
+        report = full_report(p)
         with pytest.raises(ValueError, match="read-only"):
             report.stability.spectrum[0] = 0.0
-        operator = steady_state._last_drift[2]
+        m = drift_matrix(p)
+        kept, operator = steady_state._drift_stage(m.shape, m.tobytes())
+        assert kept is report.stability
         with pytest.raises(ValueError, match="read-only"):
             operator[0, 0] = 0.0
+
+    def test_layout_of_the_drift_does_not_matter(self):
+        # the drift is kept under its bytes in C order, so a Fortran-ordered
+        # copy and a strided view of the same values are the same drift, cold
+        # or kept, and give the V and spectrum of the C-ordered one
+        p = default_params()
+        m, d = drift_matrix(p), diffusion_matrix(p)
+        holder = np.zeros((12, 12))
+        holder[::2, ::2] = m
+        layouts = {"C": m, "Fortran": np.asfortranarray(m), "strided": holder[::2, ::2]}
+        assert not layouts["Fortran"].flags.c_contiguous
+        assert not layouts["strided"].flags.c_contiguous
+        assert not layouts["strided"].flags.f_contiguous
+        v_ref, report_ref = solve_lyapunov(m, d)
+        spectrum_ref = report_ref.spectrum
+
+        def assert_same(v, report):
+            assert np.array_equal(v, v_ref)
+            assert np.array_equal(np.signbit(v), np.signbit(v_ref))
+            assert np.array_equal(report.spectrum, spectrum_ref)
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(report.spectrum, part)),
+                                      np.signbit(getattr(spectrum_ref, part)))
+
+        for cold in layouts.values():
+            steady_state._drift_stage.cache_clear()
+            assert_same(*solve_lyapunov(cold, d))
+            for kept in layouts.values():
+                assert_same(*solve_lyapunov(kept, d))
+            info = steady_state._drift_stage.cache_info()
+            assert (info.hits, info.misses) == (len(layouts), 1)
 
 
 class TestStability:

@@ -158,7 +158,7 @@ class TestRunSweep:
 
     def test_shared_drift_rows_match_cold_solves(self, monkeypatch):
         # an r x T sweep has one drift: its points after the first take the
-        # drift's spectrum and operator from solve_lyapunov's memo, and each
+        # drift's spectrum and operator from solve_lyapunov's kept drift, and each
         # cell is the one a solve from scratch gives, to the last bit
         spec = replace(with_resolution(figure_preset("fig4a"), (5, 5)), quantities=REPORT_COLUMNS)
         real_stability = steady_state.stability
@@ -175,7 +175,7 @@ class TestRunSweep:
         real_report = sweep_mod.full_report
 
         def cold_report(params):
-            steady_state._last_drift = (None, None, None)
+            steady_state._drift_stage.cache_clear()
             return real_report(params)
 
         monkeypatch.setattr(sweep_mod, "full_report", cold_report)
