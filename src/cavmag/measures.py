@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,8 +293,11 @@ class CorrelationReport:
 # of Omega times the partially transposed V.
 _SPECTRUM_MASKS = np.array([np.ones(6)] + [PT_ONE_VS_TWO[mode] for mode in Mode])
 _SPECTRUM_FORMS = _SPECTRUM_MASKS[:, :, None] * OMEGA_3 * _SPECTRUM_MASKS[:, None, :]
-# Quadrature indices of each _PAIRS entry.
-_PAIR_INDEX = np.array([a.indices + b.indices for a, b in _PAIRS])
+# Positions in the flattened 6x6 V of each _PAIRS entry's 4x4 CM.
+_PAIR_INDEX = np.array([
+    [[6 * i + j for j in quadratures] for i in quadratures]
+    for quadratures in (a.indices + b.indices for a, b in _PAIRS)
+])
 # diag(J, -J): sigma _PAIR_TWIST sigma has A J C - C J B as its upper right
 # block for a pair CM sigma = [[A, C], [C^T, B]].
 _PAIR_TWIST = np.kron(np.diag([1.0, -1.0]), symplectic_form(1))
@@ -311,10 +315,11 @@ def _quotient(a: float, b: float) -> float:
 
 
 def _measures(v) -> list:
-    """The report row of a stationary CM, all but lambda_max, as a list.
+    """The report rows of a stack of stationary CMs, all but lambda_max.
 
-    One Heisenberg check on V covers every reduced state: with delta =
-    PHYSICALITY_ATOL and nu_min >= 1/2 - delta,
+    v is a (k, 6, 6) stack; the result holds one row per CM, each a list
+    in _LAYOUT order. One Heisenberg check on V covers every reduced state:
+    with delta = PHYSICALITY_ATOL and nu_min >= 1/2 - delta,
     V + i (1/2 - delta) Omega >= 0, so its principal blocks have
     det >= (1/2 - delta)^2 per mode and its square per pair, and every
     logarithm below has a positive argument. The pair measures come from
@@ -327,17 +332,18 @@ def _measures(v) -> list:
     G = A J C - C J B, J = [[0, 1], [-1, 0]]: neither term on the right
     cancels when the pair is weakly correlated.
 
-    Five steps stay on numpy arrays: eigvalsh of V; one eigen-solve of
-    the stacked _SPECTRUM_FORMS @ V for the symplectic spectra of V and of
-    its three one-vs-two partial transposes; one determinant of the three
-    stacked pair CMs; the _PAIR_TWIST product for G; and one logarithm of
-    the twelve arguments of the six negativities and six steering values.
-    Everything between them runs on Python floats from one .tolist() each,
-    every step the IEEE operation an elementwise array version takes, in
-    the same order (x * x, as ** raises on overflow; _quotient, as Python's
-    division raises where IEEE gives inf or nan). So the row is bit for bit
-    that of a numpy tail, without numpy's overhead on arrays of 3 to 12
-    elements.
+    Four steps run once on the whole stack: eigvalsh of each V; one
+    eigen-solve of the stacked _SPECTRUM_FORMS @ V for the symplectic
+    spectra of each V and of its three one-vs-two partial transposes; one
+    determinant of the stacked pair CMs; and the _PAIR_TWIST product for G.
+    numpy loops over a stack calling LAPACK or BLAS once per matrix, so each
+    value is the one a stack of one gives, bit for bit. _row then finishes
+    each CM on Python floats from one .tolist() of each array, with one
+    logarithm of its twelve arguments on numpy; every step is the IEEE
+    operation an elementwise array version takes, in the same order
+    (x * x, as ** raises on overflow; _quotient, as Python's division
+    raises where IEEE gives inf or nan). So the row is bit for bit that of
+    a numpy tail, without numpy's overhead on arrays of 3 to 12 elements.
 
     V is refused first when eps cond_2(V) exceeds PHYSICALITY_ATOL: rounding
     then moves the measures by more than the Heisenberg slack. At large
@@ -347,23 +353,34 @@ def _measures(v) -> list:
     definite: the symplectic spectrum of an indefinite V such as
     -I_2 (+) I_4 is all 1, so the Heisenberg check alone would pass it.
     Positive definite with nu_min >= 1/2 is V + i Omega / 2 >= 0 (Williamson).
+    Each check runs over the whole stack before the next step, so in a
+    stack of several CMs the one that raises need not be the first that
+    fails; full_report evaluates a failing stack again one point at a time.
     """
-    eigenvalues = np.linalg.eigvalsh(v).tolist()
-    w = [abs(x) for x in eigenvalues]
-    # a nan eigenvalue, which min and max can pass over, reads as cond = inf
-    cond = max(w) / min(w) if min(w) > 0.0 and not math.isnan(sum(w)) else math.inf
-    if not _EPS * cond <= PHYSICALITY_ATOL:
-        raise NumericalError(
-            f"covariance matrix too ill-conditioned for its measures "
-            f"(eps * cond(V) = {_EPS * cond:.3e} > {PHYSICALITY_ATOL:g})"
-        )
-    # eigvalsh sorts ascending
-    if eigenvalues[0] <= 0.0:
-        raise PhysicalityError(
-            f"covariance matrix is not positive definite "
-            f"(smallest eigenvalue {eigenvalues[0]:.6g} <= 0)"
-        )
-    spectra = np.linalg.eigvals(_SPECTRUM_FORMS @ v).imag.tolist()
+    for eigenvalues in np.linalg.eigvalsh(v).tolist():
+        w = [abs(x) for x in eigenvalues]
+        # a nan eigenvalue, which min and max can pass over, reads as cond = inf
+        cond = max(w) / min(w) if min(w) > 0.0 and not math.isnan(sum(w)) else math.inf
+        if not _EPS * cond <= PHYSICALITY_ATOL:
+            raise NumericalError(
+                f"covariance matrix too ill-conditioned for its measures "
+                f"(eps * cond(V) = {_EPS * cond:.3e} > {PHYSICALITY_ATOL:g})"
+            )
+        # eigvalsh sorts ascending
+        if eigenvalues[0] <= 0.0:
+            raise PhysicalityError(
+                f"covariance matrix is not positive definite "
+                f"(smallest eigenvalue {eigenvalues[0]:.6g} <= 0)"
+            )
+    spectra = np.linalg.eigvals(_SPECTRUM_FORMS @ v[:, None]).imag.tolist()
+    pair_cms = v.reshape(-1, 36).take(_PAIR_INDEX, axis=1)
+    g = (pair_cms[:, :, :2] @ _PAIR_TWIST @ pair_cms[..., 2:]).reshape(-1, 3, 4).tolist()
+    return list(map(_row, v.tolist(), spectra, np.linalg.det(pair_cms).tolist(), g))
+
+
+def _row(x: list, spectra: list, det_pairs: list, g: list) -> list:
+    """The report row of one CM x (nested lists) from its four symplectic
+    spectra (imaginary parts), its three pair determinants and G entries."""
     # +/- i nu pairs: the second-smallest modulus is the smallest nu
     nu_min = _require_heisenberg(sorted(map(abs, spectra[0]))[1])
 
@@ -371,11 +388,8 @@ def _measures(v) -> list:
     # det A / (4 det sigma) of each steering direction
     log_args = [2.0 * min(map(abs, spectrum)) for spectrum in spectra[1:]]
     steering_args = []
-    x = v.tolist()
     det_modes = [x[i][i] * x[i + 1][i + 1] - x[i][i + 1] * x[i + 1][i] for i in (0, 2, 4)]
-    pair_cms = v[_PAIR_INDEX[:, :, None], _PAIR_INDEX[:, None, :]]
-    g = (pair_cms[:, :2] @ _PAIR_TWIST @ pair_cms[:, :, 2:]).reshape(-1, 4).tolist()
-    for (a, b), det_pair, (g0, g1, g2, g3) in zip(_PAIRS, np.linalg.det(pair_cms).tolist(), g):
+    for (a, b), det_pair, (g0, g1, g2, g3) in zip(_PAIRS, det_pairs, g):
         i, j = 2 * a, 2 * b
         det_a, det_b = det_modes[a], det_modes[b]
         delta_pt = det_a + det_b - 2.0 * (x[i][j] * x[i + 1][j + 1] - x[i][j + 1] * x[i + 1][j])
@@ -406,14 +420,60 @@ def _measures(v) -> list:
     return row
 
 
-def full_report(p: PhysicalParams) -> CorrelationReport:
-    """Stability, steady state and all correlation measures at one point."""
+def full_report(
+    points: PhysicalParams | Iterable[PhysicalParams],
+) -> CorrelationReport | list[CorrelationReport]:
+    """Stability, steady state and all correlation measures at parameter points.
+
+    points is one PhysicalParams, which gives one CorrelationReport, or a
+    sequence of them, which gives a list of reports in the same order. Both
+    take the one stacked evaluation (_reports), a single point as a stack
+    of one, and a sequence's reports are bit for bit those of its points
+    one at a time. A CavmagError names its parameter point. The stack runs
+    stage by stage over all its points, so when it fails (a CavmagError,
+    or a LinAlgError from a stacked LAPACK call) it is evaluated again one
+    point at a time: the first failing point raises the error it raises on
+    its own.
+    """
+    if isinstance(points, PhysicalParams):
+        return _report(points)
+    points = list(points)
     try:
-        m = model.drift_matrix(p)
-        v, report = steady_state.solve_lyapunov(m, model.diffusion_matrix(p))
-        row = _measures(v)
+        return _reports(points)
+    except (CavmagError, np.linalg.LinAlgError):
+        return [_report(p) for p in points]
+
+
+def _report(p: PhysicalParams) -> CorrelationReport:
+    """One point's report, a stack of one; a CavmagError names the point."""
+    try:
+        [report] = _reports([p])
     except CavmagError as exc:
         raise type(exc)(f"{exc} [at parameter point {p}]") from exc
-    row.append(report.max_real_part)
-    values = dict(zip(REPORT_COLUMNS, row, strict=True))
-    return CorrelationReport(report, values)
+    return report
+
+
+def _reports(points: list) -> list:
+    """The reports of a stack of points, one solve_lyapunov call per run of
+    consecutive points that share a drift, and one _measures call."""
+    if not points:
+        return []
+    runs = []  # (drift, its bytes, the run's diffusion matrices)
+    for p in points:
+        m, d = model.drift_matrix(p), model.diffusion_matrix(p)
+        key = m.tobytes()
+        if runs and runs[-1][1] == key:
+            runs[-1][2].append(d)
+        else:
+            runs.append((m, key, [d]))
+    stacks, stabilities = [], []
+    for m, _, diffusions in runs:
+        v, report = steady_state.solve_lyapunov(m, np.array(diffusions))
+        stacks.append(v)
+        stabilities += [report] * len(diffusions)
+    v = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    reports = []
+    for report, row in zip(stabilities, _measures(v)):
+        row.append(report.max_real_part)
+        reports.append(CorrelationReport(report, dict(zip(REPORT_COLUMNS, row, strict=True))))
+    return reports

@@ -94,42 +94,51 @@ def _drift_stage(shape: tuple, data: bytes) -> tuple[StabilityReport, np.ndarray
 
 
 def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
-    """Steady-state covariance matrix for drift m and diffusion d.
+    """Steady-state covariance matrices for drift m and diffusion d.
 
-    Returns (v, report), where report is the drift's stability report.
-    Refuses unstable drift matrices: the algebraic solution only describes
-    the long-time state when m is Hurwitz, and a d of another shape or with
-    non-finite entries, both before the linear solve. The 36x36 operator
-    comes from vec(m) by two gathers (_kron_sum). The report and the
-    operator come from _drift_stage, which keeps the last accepted drift's;
-    the checks of d, the solve and the residual bound run on every call. v is
-    symmetrized to remove round-off asymmetry and checked against the
-    residual bound; for symmetric v, V M^T is the transpose of M V, so one
-    product gives the residual.
+    d is one n x n diffusion matrix or a stack of them, (k, n, n), all
+    against the one drift m. Returns (v, report): v has the shape of d, and
+    report is the drift's stability report. Refuses unstable drift matrices:
+    the algebraic solution only describes the long-time state when m is
+    Hurwitz, and a d of another shape or with non-finite entries, both
+    before the linear solve. The 36x36 operator comes from vec(m) by two
+    gathers (_kron_sum). The report and the operator come from _drift_stage,
+    which keeps the last accepted drift's; the checks of d, the solve and
+    the residual bound run on every call. The stack is solved by one
+    np.linalg.solve that broadcasts the kept operator against the k
+    right-hand sides, so each is the LAPACK solve a 2-D d gets, bit for bit.
+    Each v is symmetrized to remove round-off asymmetry and checked against
+    the residual bound; the first in the stack to miss it raises. For
+    symmetric v, V M^T is the transpose of M V, so one product gives the
+    residual.
     """
     m = np.asarray(m, dtype=float)
     d = np.asarray(d, dtype=float)
     report, coeff = _drift_stage(m.shape, m.tobytes())
-    if d.shape != m.shape:
+    if d.ndim not in (2, 3) or d.shape[-2:] != m.shape:
         raise DimensionError(f"d has shape {d.shape}, expected {m.shape}")
     if not np.isfinite(d).all():
         raise DomainError("d contains non-finite entries")
     n = m.shape[0]
+    stack = d.reshape(-1, n, n)
     try:
         # every eigenvalue of coeff is a sum lambda_i + lambda_j of drift
         # eigenvalues, so Re < 0 after the stability check: LAPACK reporting
         # an exactly singular factor is the only way this solve can fail
-        v = np.linalg.solve(coeff, -d.reshape(-1)).reshape(n, n)
+        v = np.linalg.solve(coeff, -stack.reshape(-1, n * n, 1)).reshape(stack.shape)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"Lyapunov system is singular: {exc}") from exc
-    v = 0.5 * (v + v.T)
+    v = 0.5 * (v + v.transpose(0, 2, 1))
 
-    # infinity norms: largest absolute row sum
+    # infinity norms (largest absolute row sum) of each residual, then of
+    # each d, in one reduction
     mv = m @ v
-    residual = np.abs(mv + mv.T + d).sum(axis=1).max()
-    bound = LYAPUNOV_RESIDUAL_RTOL * np.abs(d).sum(axis=1).max()
-    if not residual <= bound:
-        raise NumericalError(
-            f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}"
-        )
-    return v, report
+    norms = np.abs(np.concatenate((mv + mv.transpose(0, 2, 1) + stack, stack)))
+    norms = norms.sum(axis=2).max(axis=1).tolist()
+    for residual, scale in zip(norms[:len(stack)], norms[len(stack):]):
+        bound = LYAPUNOV_RESIDUAL_RTOL * scale
+        if not residual <= bound:
+            raise NumericalError(
+                f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}"
+            )
+    return v.reshape(d.shape), report

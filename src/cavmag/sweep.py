@@ -148,43 +148,73 @@ def apply_axis_value(base: PhysicalParams, parameter: str, value: float) -> Phys
     return base.replace(**{field: value if scale is None else value * getattr(base, scale)})
 
 
-def _evaluate_index(spec: SweepSpec, axis_values, flat_index: int) -> list:
-    """One output row; axis_values holds each axis's grid values as floats."""
+def _grid_point(spec: SweepSpec, axis_values, flat_index: int) -> tuple:
+    """The grid indices and the axis values of a flat index."""
     # row-major: the last axis varies fastest
     coords = divmod(flat_index, spec.axes[1].count) if len(spec.axes) == 2 else (flat_index,)
-    values = [grid[i] for grid, i in zip(axis_values, coords)]
-    try:
+    return coords, [grid[i] for grid, i in zip(axis_values, coords)]
+
+
+def _rows(spec: SweepSpec, axis_values, indices) -> list:
+    """The output rows of some flat indices; axis_values holds each axis's
+    grid values as floats."""
+    values = [_grid_point(spec, axis_values, i)[1] for i in indices]
+    points = []
+    for point in values:
         params = spec.base
-        for ax, value in zip(spec.axes, values):
+        for ax, value in zip(spec.axes, point):
             params = apply_axis_value(params, ax.parameter, value)
-        if spec.quantities == ("lambda_max",):
-            # a stability map needs the drift spectrum only, no steady state
-            stab = steady_state.stability(model.drift_matrix(params))
-            return values + [stab.max_real_part, stab.stable]
-        report = full_report(params).as_dict()
-    except CavmagError as exc:
-        where = ", ".join(f"{ax.parameter} = {v!r}" for ax, v in zip(spec.axes, values))
-        raise type(exc)(f"{exc} [at grid point {flat_index}, indices {coords}: {where}]") from exc
-    return values + [report[q] for q in spec.quantities] + [report["stable"]]
+        points.append(params)
+    if spec.quantities == ("lambda_max",):
+        # a stability map needs the drift spectrum only, no steady state
+        stabs = [steady_state.stability(model.drift_matrix(p)) for p in points]
+        return [point + [stab.max_real_part, stab.stable] for point, stab in zip(values, stabs)]
+    reports = [report.as_dict() for report in full_report(points)]
+    return [
+        point + [report[q] for q in spec.quantities] + [report["stable"]]
+        for point, report in zip(values, reports)
+    ]
 
 
 def _evaluate_range(args) -> list:
+    """The rows of one chunk, its reports from one full_report call.
+
+    A chunk that raises a CavmagError is evaluated again one point at a
+    time, so the first failing point in row-major order raises, with its
+    flat index, grid indices and axis values.
+    """
     spec, axis_values, lo, hi = args
-    return [_evaluate_index(spec, axis_values, i) for i in range(lo, hi)]
+    try:
+        return _rows(spec, axis_values, range(lo, hi))
+    except CavmagError:
+        pass
+    rows = []
+    for flat_index in range(lo, hi):
+        try:
+            rows += _rows(spec, axis_values, [flat_index])
+        except CavmagError as exc:
+            coords, values = _grid_point(spec, axis_values, flat_index)
+            where = ", ".join(f"{ax.parameter} = {v!r}" for ax, v in zip(spec.axes, values))
+            raise type(exc)(f"{exc} [at grid point {flat_index}, indices {coords}: {where}]") from exc
+    return rows
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     """Evaluate the sweep grid, optionally across worker processes.
 
-    The grid is split into row-major chunks, evaluated in turn or by a pool
-    of workers (an integer >= 1, checked before any point is evaluated);
-    progress(done, total) is called after each chunk. A
-    CavmagError at a point, a drift that is not Hurwitz stable included,
-    aborts the sweep, re-raised with its type and the point's flat index,
-    grid indices and axis values. Any failure in a pool cancels the chunks
-    not yet started and is raised once the running ones end. A sweep of
-    lambda_max alone evaluates only the drift spectrum and reports the
-    stable flag it computes. The result is independent of the worker count.
+    The grid is split into row-major chunks, 8 per worker (fewer on a grid
+    of fewer points), evaluated in turn or by a pool of workers (an integer
+    >= 1, checked before any point is evaluated); progress(done, total) is
+    called after each chunk. Each chunk's points go to one full_report
+    call, which evaluates them as one stack. A CavmagError at a point, a
+    drift that is not Hurwitz stable included, aborts the sweep: the
+    failing chunk is evaluated again one point at a time, and the first
+    failing point in row-major order is re-raised with its type and its
+    flat index, grid indices and axis values. Any failure in a pool cancels
+    the chunks not yet started and is raised once the running ones end. A
+    sweep of lambda_max alone evaluates only the drift spectrum and reports
+    the stable flag it computes. The result is independent of the worker
+    count.
     Starting and stopping the pool costs 20 to 30 ms on a 2-vCPU host, so
     2 workers pay on a 101x101 figure grid but not on a grid of a few dozen
     points.

@@ -51,11 +51,12 @@ def test_full_report_solves_the_drift_spectrum_once():
 
 def test_traced_serial_sweep_counts_each_layer():
     # the per-layer figures are counted through these names: a point of a
-    # two-axis grid builds its parameters twice, then one report and one row
+    # two-axis grid builds its parameters twice and gives one row, and each
+    # of the sweep's 8 chunks takes one full_report call
     spec = with_resolution(figure_preset("fig4a"), (3, 3))
     with tracing.Tracer() as tracer:
         run_sweep(spec, workers=1)
-    assert tracer.counts["measures.full_report"] == 9
+    assert tracer.counts["measures.full_report"] == 8
     assert tracer.counts["model.params"] == 18
     assert tracer.counts["measures.as_dict"] == 9
     metrics = tracing.layer_metrics(tracer)

@@ -167,7 +167,7 @@ COLUMN_ORACLE_POINTS = {
 # Names of the block-invariant kernel of full_report, and the functions of
 # the eigenvalue reference it is tested against, which must read none of them.
 KERNEL_NAMES = {
-    "_measures", "_quotient", "_SPECTRUM_MASKS", "_SPECTRUM_FORMS", "_PAIR_INDEX",
+    "_measures", "_row", "_quotient", "_SPECTRUM_MASKS", "_SPECTRUM_FORMS", "_PAIR_INDEX",
     "_PAIR_TWIST", "_HOLDING_PAIRS", "_LOG_SCALES",
 }
 # Module-level names of measures.py that the kernel shares with the reference.
@@ -737,7 +737,7 @@ class TestBatchedReport:
             warnings.simplefilter("error")
             for v, error, message in cases:
                 with pytest.raises(error, match=message):
-                    measures._measures(v)
+                    measures._measures(v[None])
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
@@ -756,7 +756,7 @@ class TestBatchedReport:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                row = measures._measures(v)
+                [row] = measures._measures(v[None])
             except (NumericalError, PhysicalityError):
                 return
         assert len(row) == len(measures.REPORT_COLUMNS) - 1
@@ -855,10 +855,85 @@ class TestBatchedReport:
         monkeypatch.setattr(
             measures.steady_state,
             "solve_lyapunov",
-            lambda m, d: (0.4 * np.eye(6), measures.steady_state.stability(m)),
+            lambda m, d: (
+                np.broadcast_to(0.4 * np.eye(6), d.shape), measures.steady_state.stability(m)
+            ),
         )
         with pytest.raises(PhysicalityError, match="Heisenberg.*at parameter point"):
             full_report(default_params())
+
+
+def report_bits(report) -> list:
+    """Every column, the stable flag and the drift spectrum, signbits included."""
+    spectrum = [(z.real.hex(), z.imag.hex()) for z in report.stability.spectrum.tolist()]
+    return [x.hex() for x in report.values.values()] + [report.stable, spectrum]
+
+
+class TestStackedReport:
+    """full_report of a sequence is its points one at a time, to the last bit."""
+
+    def cold_reports(self, points):
+        reports = []
+        for p in points:
+            steady_state._drift_stage.cache_clear()
+            reports.append(full_report(p))
+        return reports
+
+    def test_stack_matches_points_one_at_a_time(self):
+        with open(GOLDEN_REPORT, encoding="utf-8") as handle:
+            golden = json.load(handle)["points"]
+        golden = [PhysicalParams(**e["params"]) for e in golden if not e.get("forced_unstable")]
+        base = default_params()
+        detuned = base.replace(delta_1=KAPPA_C, delta_m=-0.0)
+        # runs of a shared drift (r and T leave it as it is) between points
+        # with drifts of their own, and a drift that comes back after another
+        mixed = [
+            base.replace(r=0.2), base.replace(r=0.5, temperature=1.0), base.replace(r=0.8),
+            detuned, sideband_params(), sideband_params().replace(r=0.1, temperature=0.3),
+            detuned.replace(r=0.0), base, base.replace(delta_m=0.0),
+        ]
+        for points in (golden, mixed):
+            stacked = full_report(points)
+            assert isinstance(stacked, list) and len(stacked) == len(points)
+            for got, expected in zip(stacked, self.cold_reports(points)):
+                assert report_bits(got) == report_bits(expected)
+        assert full_report(()) == []
+
+    def test_first_failing_point_raises_its_own_error(self):
+        # no fakes: the r = 9 point is refused by the conditioning check of
+        # _measures, and the third point's drift has a computed eigenvalue
+        # on the imaginary axis, refused before any measure is taken; the
+        # stack meets the later point's refusal first
+        valid = default_params()
+        squeezed = valid.replace(r=9.0, temperature=2.0)
+        unstable = valid.replace(gamma_2=1e17 * valid.gamma_1)
+        with pytest.raises(StabilityError, match="drift matrix is unstable"):
+            full_report(unstable)
+        with pytest.raises(NumericalError) as alone:
+            full_report(squeezed)
+        assert re.fullmatch(
+            r"covariance matrix too ill-conditioned for its measures "
+            r"\(eps \* cond\(V\) = \d\.\d{3}e[+-]\d\d > 1e-06\) \[at parameter point "
+            + re.escape(str(squeezed)) + r"\]",
+            str(alone.value),
+        ), str(alone.value)
+        with pytest.raises(NumericalError) as stacked:
+            full_report([valid, squeezed, unstable])
+        assert str(stacked.value) == str(alone.value)
+
+    def test_stacked_lapack_failure_is_retried_one_point_at_a_time(self, monkeypatch):
+        real_det = np.linalg.det
+
+        def det_of_one(a):
+            if a.shape[0] > 1:
+                raise np.linalg.LinAlgError("synthetic failure of a stacked call")
+            return real_det(a)
+
+        points = [default_params().replace(r=r) for r in (0.1, 0.4, 0.7)]
+        expected = self.cold_reports(points)
+        monkeypatch.setattr(np.linalg, "det", det_of_one)
+        got = full_report(points)
+        assert [report_bits(r) for r in got] == [report_bits(r) for r in expected]
 
 
 class TestStressDomain:

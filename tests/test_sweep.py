@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import re
@@ -10,7 +11,13 @@ import pytest
 
 import cavmag.sweep as sweep_mod
 from cavmag import steady_state
-from cavmag.errors import CavmagError, PhysicalityError, ValidationError
+from cavmag.errors import (
+    CavmagError,
+    NumericalError,
+    PhysicalityError,
+    StabilityError,
+    ValidationError,
+)
 from cavmag.measures import REPORT_COLUMNS, full_report
 from cavmag.model import default_params
 from cavmag.sweep import (
@@ -174,9 +181,12 @@ class TestRunSweep:
         monkeypatch.setattr(steady_state, "stability", real_stability)
         real_report = sweep_mod.full_report
 
-        def cold_report(params):
-            steady_state._drift_stage.cache_clear()
-            return real_report(params)
+        def cold_report(points):
+            reports = []
+            for params in points:
+                steady_state._drift_stage.cache_clear()
+                reports += real_report([params])
+            return reports
 
         monkeypatch.setattr(sweep_mod, "full_report", cold_report)
         cold = run_sweep(spec).rows
@@ -255,10 +265,10 @@ class TestRunSweep:
         )
         real_report = sweep_mod.full_report
 
-        def fail_at_centre(params):
-            if params.r == 0.5 and params.temperature == 1.0:
+        def fail_at_centre(points):
+            if any(params.r == 0.5 and params.temperature == 1.0 for params in points):
                 raise PhysicalityError("synthetic failure")
-            return real_report(params)
+            return real_report(points)
 
         monkeypatch.setattr(sweep_mod, "full_report", fail_at_centre)
         with pytest.raises(PhysicalityError) as info:
@@ -274,13 +284,14 @@ class TestRunSweep:
         spec = small_spec(axes=(AxisSpec("r", 0.0, 1.0, 64),))
         log = tmp_path / "evaluated.txt"
 
-        def fail_first(params):
-            if params.r == 0.0:
+        def fail_first(points):
+            if any(params.r == 0.0 for params in points):
                 raise PhysicalityError("synthetic failure")
-            with open(log, "a", encoding="utf-8") as handle:
-                handle.write(f"{params.r!r}\n")
-            time.sleep(0.02)
-            return full_report(params)
+            for params in points:
+                with open(log, "a", encoding="utf-8") as handle:
+                    handle.write(f"{params.r!r}\n")
+                time.sleep(0.02)
+            return full_report(points)
 
         monkeypatch.setattr(sweep_mod, "full_report", fail_first)
         with pytest.raises(PhysicalityError, match="grid point 0, indices \\(0,\\)"):
@@ -296,8 +307,8 @@ class TestRunSweep:
             from cavmag.model import default_params
             from cavmag.sweep import AxisSpec, SweepSpec, run_sweep
 
-            def fail(params):
-                raise ValueError(f"synthetic failure at r = {params.r}")
+            def fail(points):
+                raise ValueError(f"synthetic failure at r = {points[0].r}")
 
             sweep_mod.full_report = fail
             spec = SweepSpec(base=default_params(),
@@ -308,6 +319,62 @@ class TestRunSweep:
         proc = run_python("-c", code)
         assert proc.returncode == 1, proc.stderr
         assert "ValueError: synthetic failure at r = " in proc.stderr
+
+    def test_late_refusal_is_raised_before_a_later_instability(self):
+        # no fakes: point 0 (r = 9 at 2 K) is refused by the conditioning
+        # check of the measures and point 1, in the same chunk of two, by
+        # the stability check, which the chunk's stacked evaluation reaches
+        # first; the sweep raises point 0's refusal, as one point at a time
+        base = default_params().replace(r=9.0, temperature=2.0)
+        spec = small_spec(base=base, axes=(AxisSpec("gamma_ratio", 1.0, 1.5e17, 16),))
+        first, second = (
+            apply_axis_value(base, "gamma_ratio", x) for x in spec.axes[0].values()[:2]
+        )
+        with pytest.raises(StabilityError):
+            full_report(second)
+        with pytest.raises(NumericalError) as alone:
+            full_report(first)
+        with pytest.raises(NumericalError) as info:
+            run_sweep(spec)
+        where = "[at grid point 0, indices (0,): gamma_ratio = 1.0]"
+        assert str(info.value) == f"{alone.value} {where}"
+
+    def test_lapack_calls_per_chunk(self, monkeypatch):
+        # a serial 5x5 sweep runs 8 chunks, one call of each per chunk and
+        # one drift spectrum for the shared drift, where one call per point
+        # made 25 of each
+        calls = collections.Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve", "eigvalsh", "det", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        run_sweep(with_resolution(figure_preset("fig4a"), (5, 5)), workers=1)
+        assert calls == {"solve": 8, "eigvalsh": 8, "det": 8, "eigvals": 9}
+
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_cells_match_points_one_at_a_time(self, figure_id):
+        spec = figure_preset(figure_id)
+        spec = with_resolution(spec, (4, 3) if len(spec.axes) == 2 else (7,))
+        expected = []
+        for index in np.ndindex(spec.shape):
+            values = [float(ax.values()[i]) for ax, i in zip(spec.axes, index)]
+            p = spec.base
+            for ax, value in zip(spec.axes, values):
+                p = apply_axis_value(p, ax.parameter, value)
+            steady_state._drift_stage.cache_clear()
+            report = full_report(p).as_dict()
+            expected.append(values + [report[q] for q in spec.quantities] + [report["stable"]])
+        for workers in (1, 2):
+            rows = run_sweep(spec, workers=workers).rows
+            assert len(rows) == len(expected)
+            for row, want in zip(rows, expected):
+                assert row[-1] is want[-1]
+                assert [x.hex() for x in row[:-1]] == [x.hex() for x in want[:-1]], workers
 
     def test_progress_reported(self):
         spec = with_resolution(figure_preset("fig4a"), (3, 4))
