@@ -427,21 +427,23 @@ def full_report(
 
     points is one PhysicalParams, which gives one CorrelationReport, or a
     sequence of them, which gives a list of reports in the same order. Both
-    take the one stacked evaluation (_reports), a single point as a stack
-    of one, and a sequence's reports are bit for bit those of its points
-    one at a time. A CavmagError names its parameter point. The stack runs
-    stage by stage over all its points, so when it fails (a CavmagError,
-    or a LinAlgError from a stacked LAPACK call) it is evaluated again one
-    point at a time: the first failing point raises the error it raises on
-    its own.
+    take the one stacked evaluation (_reports), one point as a stack of one,
+    and a sequence's reports are bit for bit those of its points one at a
+    time. A CavmagError names its parameter point. A stack of several
+    points runs stage by stage over its drift groups, so when it fails (a
+    CavmagError, or a LinAlgError from a stacked LAPACK call) it is
+    evaluated again one point at a time: the first failing point raises the
+    error it raises on its own, and a sequence of one is evaluated once.
     """
     if isinstance(points, PhysicalParams):
         return _report(points)
     points = list(points)
-    try:
-        return _reports(points)
-    except (CavmagError, np.linalg.LinAlgError):
-        return [_report(p) for p in points]
+    if len(points) > 1:
+        try:
+            return _reports(points)
+        except (CavmagError, np.linalg.LinAlgError):
+            pass  # evaluated again below, one point at a time
+    return [_report(p) for p in points]
 
 
 def _report(p: PhysicalParams) -> CorrelationReport:
@@ -454,26 +456,23 @@ def _report(p: PhysicalParams) -> CorrelationReport:
 
 
 def _reports(points: list) -> list:
-    """The reports of a stack of points, one solve_lyapunov call per run of
-    consecutive points that share a drift, and one _measures call."""
-    if not points:
-        return []
-    runs = []  # (drift, its bytes, the run's diffusion matrices)
-    for p in points:
-        m, d = model.drift_matrix(p), model.diffusion_matrix(p)
-        key = m.tobytes()
-        if runs and runs[-1][1] == key:
-            runs[-1][2].append(d)
-        else:
-            runs.append((m, key, [d]))
-    stacks, stabilities = [], []
-    for m, _, diffusions in runs:
+    """The reports of a non-empty stack of points, in its order: one
+    solve_lyapunov call per distinct drift, on the diffusion matrices of
+    the points that share it wherever they sit, and one _measures call."""
+    groups = {}  # the drift's bytes: (drift, its points' positions, their D)
+    for i, p in enumerate(points):
+        m = model.drift_matrix(p)
+        _, positions, diffusions = groups.setdefault(m.tobytes(), (m, [], []))
+        positions.append(i)
+        diffusions.append(model.diffusion_matrix(p))
+    stacks, placed = [], []  # placed: (position, stability report) per V
+    for m, positions, diffusions in groups.values():
         v, report = steady_state.solve_lyapunov(m, np.array(diffusions))
         stacks.append(v)
-        stabilities += [report] * len(diffusions)
+        placed += [(i, report) for i in positions]
     v = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-    reports = []
-    for report, row in zip(stabilities, _measures(v)):
+    reports = [None] * len(points)
+    for (i, report), row in zip(placed, _measures(v)):
         row.append(report.max_real_part)
-        reports.append(CorrelationReport(report, dict(zip(REPORT_COLUMNS, row, strict=True))))
+        reports[i] = CorrelationReport(report, dict(zip(REPORT_COLUMNS, row, strict=True)))
     return reports

@@ -162,13 +162,17 @@ def noise_moments(r: float, omega_m: float, temperature: float) -> NoiseMoments:
     """Bath moments for squeezing r, magnon frequency omega_m and temperature T.
 
     The two-mode squeezed drive is minimum-uncertainty, so
-    big_m^2 = big_n (big_n + 1) holds identically.
+    big_m^2 = big_n (big_n + 1) holds identically. Both are inf from
+    r = 355 on (and math.sinh itself overflows from r = 710.48).
     """
     if r < 0.0:
         raise DomainError(f"r must be non-negative, got {r}")
-    s = math.sinh(r)
+    try:
+        s, c = math.sinh(r), math.cosh(r)
+    except OverflowError:
+        s = c = math.inf
     big_n = s * s
-    big_m = s * math.cosh(r)
+    big_m = s * c
     return NoiseMoments(big_n=big_n, big_m=big_m, n_m=thermal_occupation(omega_m, temperature))
 
 

@@ -97,6 +97,9 @@ class SweepSpec:
         for q in self.quantities:
             if q not in REPORT_COLUMNS:
                 problems.append(f"quantities: unknown quantity {q!r}")
+        # a containment test, since an unknown quantity need not be hashable
+        if any(q in self.quantities[:i] for i, q in enumerate(self.quantities)):
+            problems.append(f"quantities: names must be distinct, got {list(self.quantities)}")
         if string is not None:
             problems.append(f"quantities: expected a list of column names, got the string {string!r}")
         elif not self.quantities:
@@ -206,7 +209,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     of fewer points), evaluated in turn or by a pool of workers (an integer
     >= 1, checked before any point is evaluated); progress(done, total) is
     called after each chunk. Each chunk's points go to one full_report
-    call, which evaluates them as one stack. A CavmagError at a point, a
+    call, which evaluates them as one stack grouped by drift matrix: the
+    points of a chunk that share a drift, consecutive or not (as on the
+    r x gamma_ratio maps), share its eigen-solve and Lyapunov operator, and
+    the rows stay in row-major order. A CavmagError at a point, a
     drift that is not Hurwitz stable included, aborts the sweep: the
     failing chunk is evaluated again one point at a time, and the first
     failing point in row-major order is re-raised with its type and its

@@ -258,6 +258,15 @@ class TestPointCommand:
         assert len(proc.stderr.splitlines()) == 1
         assert "ill-conditioned" in proc.stderr and "at parameter point" in proc.stderr
 
+    @pytest.mark.parametrize("r", ["711", "1000"])
+    def test_squeezing_beyond_the_float_range_exits_1(self, r):
+        # math.sinh overflows from r = 710.48, which once ended in an
+        # OverflowError traceback
+        proc = run_python("-m", "cavmag.cli", "point", "--r", r)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: d contains non-finite entries [at parameter point ")
+
 
 class TestSweepCommand:
     def test_explicit_spec_file(self, capsys, tmp_path):

@@ -515,6 +515,16 @@ class TestFullReport:
         with pytest.raises(NumericalError, match=rf"ill-conditioned.*at parameter point.*r={r}"):
             full_report(default_params().replace(r=r))
 
+    @pytest.mark.parametrize("r", [711.0, 1000.0])
+    def test_squeezing_beyond_the_float_range_is_refused(self, r):
+        # from r = 710.48 math.sinh overflows, which once escaped as a bare
+        # OverflowError; the infinite moments meet the refusal of D that
+        # r from 355 on already reached through a float product
+        with pytest.raises(DomainError) as info:
+            full_report(default_params().replace(r=r))
+        point = default_params().replace(r=r)
+        assert str(info.value) == f"d contains non-finite entries [at parameter point {point}]"
+
     @pytest.mark.parametrize(
         "change", [dict(r=5.5), dict(temperature=1e6)], ids=["r = 5.5", "T = 1e6 K"]
     )
@@ -892,12 +902,39 @@ class TestStackedReport:
             detuned, sideband_params(), sideband_params().replace(r=0.1, temperature=0.3),
             detuned.replace(r=0.0), base, base.replace(delta_m=0.0),
         ]
-        for points in (golden, mixed):
+        # drift groups that interleave: r outer, gamma_2 / gamma_1 inner
+        interleaved = [
+            base.replace(r=r, gamma_2=x * base.gamma_1) for r in (0.1, 0.4) for x in (0.5, 1.0, 1.5)
+        ]
+        for points in (golden, mixed, interleaved):
             stacked = full_report(points)
             assert isinstance(stacked, list) and len(stacked) == len(points)
             for got, expected in zip(stacked, self.cold_reports(points)):
                 assert report_bits(got) == report_bits(expected)
         assert full_report(()) == []
+
+    def test_one_lapack_call_per_drift_group(self, monkeypatch):
+        # a 12-point stack, r outer and gamma_2 / gamma_1 inner: each of the
+        # three drifts gets one spectrum and one solve, wherever its points
+        # sit, and the stack one eigvalsh, one stacked eigvals and one det
+        calls = collections.Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        base = default_params()
+        points = [
+            base.replace(r=r, gamma_2=x * base.gamma_1)
+            for r in (0.1, 0.4, 0.7, 1.0) for x in (0.5, 1.0, 1.5)
+        ]
+        for name in LINALG_SOLVERS:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        steady_state._drift_stage.cache_clear()
+        full_report(points)
+        assert calls == {"eigvals": 4, "solve": 3, "eigvalsh": 1, "det": 1}
 
     def test_first_failing_point_raises_its_own_error(self):
         # no fakes: the r = 9 point is refused by the conditioning check of

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -38,6 +39,13 @@ class TestNoiseMoments:
         mom = noise_moments(1.2, TWO_PI * 1e10, 0.0)
         assert mom.big_n == pytest.approx(2.2784735834827535389, rel=1e-14)
         assert mom.big_m == pytest.approx(2.7331146068380472872, rel=1e-14)
+
+    @pytest.mark.parametrize("r", [400.0, 710.47, 710.48, 1000.0])
+    def test_moments_beyond_the_float_range_are_infinite(self, r):
+        # sinh(r)^2 overflows from r = 355 and math.sinh itself from 710.48;
+        # either way the moments are inf, which diffusion_matrix passes on
+        mom = noise_moments(r, TWO_PI * 1e10, 0.0)
+        assert (mom.big_n, mom.big_m) == (math.inf, math.inf)
 
     def test_thermal_occupation_reference_value(self):
         # Bose factor at 10 GHz and 20 mK with CODATA hbar and k_B

@@ -9,10 +9,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cavmag.measures as measures
 import cavmag.sweep as sweep_mod
 from cavmag import steady_state
 from cavmag.errors import (
     CavmagError,
+    DomainError,
     NumericalError,
     PhysicalityError,
     StabilityError,
@@ -67,11 +69,21 @@ class TestSpecValidation:
                     AxisSpec("r", 0.0, 1.0, 11),
                     AxisSpec("r", 0.0, 1.0, 11),
                 ),
-                quantities=("nope",),
+                quantities=("nope", "e_n_c1c2", "e_n_c1c2"),
             )
         message = str(err.value)
         for fragment in ("bogus", "count", "start", "distinct", "nope", "1 or 2"):
             assert fragment in message
+        assert (
+            "quantities: names must be distinct, got ['nope', 'e_n_c1c2', 'e_n_c1c2']" in message
+        )
+
+    def test_doubled_stability_map_rejected(self):
+        # ("lambda_max",) maps stability; doubled, it once took the
+        # steady-state path, which refuses unstable points
+        message = "quantities: names must be distinct, got ['lambda_max', 'lambda_max']"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            small_spec(quantities=("lambda_max", "lambda_max"))
 
     @pytest.mark.parametrize("count", [3.5, 3.0, True, "3"])
     def test_non_integer_count_rejected(self, count):
@@ -338,6 +350,34 @@ class TestRunSweep:
             run_sweep(spec)
         where = "[at grid point 0, indices (0,): gamma_ratio = 1.0]"
         assert str(info.value) == f"{alone.value} {where}"
+
+    def test_failing_point_is_evaluated_once_per_retry(self, monkeypatch):
+        # the chunk's stack of two, the point alone in full_report's retry,
+        # and once more in the sweep's retry, which gives the grid location;
+        # a sequence of one is not retried inside full_report
+        sizes = []
+        real_reports = measures._reports
+
+        def recorded(points):
+            sizes.append(len(points))
+            return real_reports(points)
+
+        monkeypatch.setattr(measures, "_reports", recorded)
+        base = default_params().replace(r=9.0, temperature=2.0)
+        spec = small_spec(base=base, axes=(AxisSpec("gamma_ratio", 1.0, 1.5e17, 16),))
+        with pytest.raises(NumericalError, match=re.escape("[at grid point 0, ")):
+            run_sweep(spec)
+        assert sizes == [2, 1, 1]
+
+    def test_squeezing_beyond_the_float_range_names_its_grid_point(self):
+        # math.sinh overflows from r = 710.48; the sweep once raised a bare
+        # OverflowError with no grid location
+        spec = small_spec(axes=(AxisSpec("r", 0.0, 2000.0, 3),))
+        with pytest.raises(DomainError) as info:
+            run_sweep(spec)
+        message = str(info.value)
+        assert message.startswith("d contains non-finite entries [at parameter point ")
+        assert message.endswith("[at grid point 1, indices (1,): r = 1000.0]")
 
     def test_lapack_calls_per_chunk(self, monkeypatch):
         # a serial 5x5 sweep runs 8 chunks, one call of each per chunk and
