@@ -9,7 +9,8 @@ which is vectorized into the single 36x36 linear system
 (I (x) M + M (x) I) vec V = -vec D and solved densely. V uses the same
 quadrature ordering as the drift matrix and the vacuum normalization 1/2 per
 quadrature, so the two-mode separability boundary sits at twice the minimum
-symplectic eigenvalue = 1.
+symplectic eigenvalue = 1. Nothing is kept between calls but the operator's
+index tables, which depend on the matrix size alone.
 """
 
 from __future__ import annotations
@@ -72,49 +73,32 @@ def _kron_sum(m: np.ndarray) -> np.ndarray:
     return padded.take(left) + padded.take(right)
 
 
-@functools.lru_cache(maxsize=1)
-def _drift_stage(shape: tuple, data: bytes) -> tuple[StabilityReport, np.ndarray]:
-    """The stability report and the read-only Lyapunov operator of a drift.
-
-    The drift comes as its shape and its bytes in C order, the key under
-    which the last accepted drift is kept: a call with the same drift, as at
-    every point of an r x T sweep, returns the same report and operator. An
-    unstable drift raises StabilityError, and an exception is never kept.
-    """
-    m = np.frombuffer(data).reshape(shape)
-    report = stability(m)
-    if not report.stable:
-        raise StabilityError(
-            f"drift matrix is unstable (max Re lambda = {report.max_real_part:.6e})"
-        )
-    coeff = _kron_sum(m)
-    report.spectrum.flags.writeable = False
-    coeff.flags.writeable = False
-    return report, coeff
-
-
 def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
     """Steady-state covariance matrices for drift m and diffusion d.
 
     d is one n x n diffusion matrix or a stack of them, (k, n, n), all
     against the one drift m. Returns (v, report): v has the shape of d, and
-    report is the drift's stability report. Refuses unstable drift matrices:
-    the algebraic solution only describes the long-time state when m is
-    Hurwitz, and a d of another shape or with non-finite entries, both
-    before the linear solve. The 36x36 operator comes from vec(m) by two
-    gathers (_kron_sum). The report and the operator come from _drift_stage,
-    which keeps the last accepted drift's; the checks of d, the solve and
-    the residual bound run on every call. The stack is solved by one
-    np.linalg.solve that broadcasts the kept operator against the k
-    right-hand sides, so each is the LAPACK solve a 2-D d gets, bit for bit.
-    Each v is symmetrized to remove round-off asymmetry and checked against
-    the residual bound; the first in the stack to miss it raises. For
-    symmetric v, V M^T is the transpose of M V, so one product gives the
-    residual.
+    report is the drift's stability report, whose spectrum is read-only
+    since every point of the stack shares it. Refuses unstable drift
+    matrices: the algebraic solution only describes the long-time state
+    when m is Hurwitz, and a d of another shape or with non-finite entries,
+    both before the linear solve. Each call checks the drift's stability
+    and gathers the 36x36 operator from vec(m) (_kron_sum) once for its
+    whole stack, and keeps neither. The stack is solved by one
+    np.linalg.solve that broadcasts the operator against the k right-hand
+    sides, so each is the LAPACK solve a 2-D d gets, bit for bit. Each v is
+    symmetrized to remove round-off asymmetry and checked against the
+    residual bound; the first in the stack to miss it raises. For symmetric
+    v, V M^T is the transpose of M V, so one product gives the residual.
     """
     m = np.asarray(m, dtype=float)
     d = np.asarray(d, dtype=float)
-    report, coeff = _drift_stage(m.shape, m.tobytes())
+    report = stability(m)
+    if not report.stable:
+        raise StabilityError(
+            f"drift matrix is unstable (max Re lambda = {report.max_real_part:.6e})"
+        )
+    report.spectrum.flags.writeable = False
     if d.ndim not in (2, 3) or d.shape[-2:] != m.shape:
         raise DimensionError(f"d has shape {d.shape}, expected {m.shape}")
     if not np.isfinite(d).all():
@@ -122,10 +106,11 @@ def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
     n = m.shape[0]
     stack = d.reshape(-1, n, n)
     try:
-        # every eigenvalue of coeff is a sum lambda_i + lambda_j of drift
-        # eigenvalues, so Re < 0 after the stability check: LAPACK reporting
-        # an exactly singular factor is the only way this solve can fail
-        v = np.linalg.solve(coeff, -stack.reshape(-1, n * n, 1)).reshape(stack.shape)
+        # every eigenvalue of the operator is a sum lambda_i + lambda_j of
+        # drift eigenvalues, so Re < 0 after the stability check: LAPACK
+        # reporting an exactly singular factor is the only way this solve
+        # can fail
+        v = np.linalg.solve(_kron_sum(m), -stack.reshape(-1, n * n, 1)).reshape(stack.shape)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"Lyapunov system is singular: {exc}") from exc
     v = 0.5 * (v + v.transpose(0, 2, 1))

@@ -76,7 +76,8 @@ class SweepSpec:
             problems.append(f"axes: expected 1 or 2 axes, got {len(self.axes)}")
         for index, ax in enumerate(self.axes):
             bad = []
-            if ax.parameter not in AXES:
+            # isinstance first: an unhashable parameter cannot be looked up
+            if not isinstance(ax.parameter, str) or ax.parameter not in AXES:
                 bad.append(f"axes.parameter: {ax.parameter!r} not one of {sorted(AXES)}")
             if isinstance(ax.count, bool) or not isinstance(ax.count, numbers.Integral):
                 bad.append(f"axes.count: must be an integer, got {ax.count!r}")
@@ -92,7 +93,7 @@ class SweepSpec:
                 bad.append(f"axes.range: start {ax.start} must be < stop {ax.stop}")
             problems += [f"{problem} (axis {index}, {ax.parameter})" for problem in bad]
         names = [ax.parameter for ax in self.axes]
-        if len(set(names)) != len(names):
+        if any(name in names[:i] for i, name in enumerate(names)):
             problems.append(f"axes: parameters must be distinct, got {names}")
         for q in self.quantities:
             if q not in REPORT_COLUMNS:
@@ -205,22 +206,24 @@ def _evaluate_range(args) -> list:
 def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     """Evaluate the sweep grid, optionally across worker processes.
 
-    The grid is split into row-major chunks, 8 per worker (fewer on a grid
-    of fewer points), evaluated in turn or by a pool of workers (an integer
-    >= 1, checked before any point is evaluated); progress(done, total) is
-    called after each chunk. Each chunk's points go to one full_report
-    call, which evaluates them as one stack grouped by drift matrix: the
-    points of a chunk that share a drift, consecutive or not (as on the
-    r x gamma_ratio maps), share its eigen-solve and Lyapunov operator, and
-    the rows stay in row-major order. A CavmagError at a point, a
-    drift that is not Hurwitz stable included, aborts the sweep: the
-    failing chunk is evaluated again one point at a time, and the first
-    failing point in row-major order is re-raised with its type and its
-    flat index, grid indices and axis values. Any failure in a pool cancels
-    the chunks not yet started and is raised once the running ones end. A
-    sweep of lambda_max alone evaluates only the drift spectrum and reports
-    the stable flag it computes. The result is independent of the worker
-    count.
+    The grid is split into row-major chunks, at most 8 per worker and at
+    least 8 points each (one chunk on a grid of fewer than 16 points),
+    evaluated in turn or by a pool of at most one worker per chunk
+    (workers is an integer >= 1, checked before any point is evaluated);
+    progress(done, total) is called after each chunk. Each chunk's points
+    go to one full_report call, which evaluates them as one stack grouped
+    by drift matrix: the points of a chunk that share a drift, consecutive
+    or not (as on the r x gamma_ratio maps), share its eigen-solve and
+    Lyapunov operator, and the rows stay in row-major order. Nothing is
+    kept between chunks, so a drift is solved once per chunk it appears
+    in. A CavmagError at a point, a drift that is not Hurwitz stable
+    included, aborts the sweep: the failing chunk is evaluated again one
+    point at a time, and the first failing point in row-major order is
+    re-raised with its type and its flat index, grid indices and axis
+    values. Any failure in a pool cancels the chunks not yet started and
+    is raised once the running ones end. A sweep of lambda_max alone
+    evaluates only the drift spectrum and reports the stable flag it
+    computes. The result is independent of the worker count.
     Starting and stopping the pool costs 20 to 30 ms on a 2-vCPU host, so
     2 workers pay on a 101x101 figure grid but not on a grid of a few dozen
     points.
@@ -231,9 +234,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     total = spec.size
     axis_values = [ax.values().tolist() for ax in spec.axes]
-    n_chunks = min(total, workers * 8)
+    n_chunks = max(1, min(workers * 8, total // 8))
     bounds = [total * k // n_chunks for k in range(n_chunks + 1)]
     tasks = [(spec, axis_values, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # a fork-started pool starts all of its processes at the first submit
+    workers = min(workers, len(tasks))
     rows = []
 
     def collect(chunks):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import cavmag
-from cavmag import steady_state
 from cavmag.model import TWO_PI, PhysicalParams
 
 KAPPA_C = TWO_PI * 5e6
@@ -44,16 +43,6 @@ def random_params(rng, stiff=False) -> PhysicalParams:
         r=rng.uniform(0.0, 0.8),
         temperature=rng.uniform(0.0, 0.3),
     )
-
-
-@pytest.fixture(autouse=True)
-def no_kept_drift():
-    """Every test starts with solve_lyapunov's kept drift cleared.
-
-    A test that fakes steady_state.stability then sees its fake called,
-    whatever drift the tests before it solved.
-    """
-    steady_state._drift_stage.cache_clear()
 
 
 @pytest.fixture

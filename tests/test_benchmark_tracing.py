@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cavmag import measures, steady_state
+from cavmag import measures
 from cavmag.model import default_params
 from cavmag.sweep import figure_preset, run_sweep, with_resolution
 
@@ -33,12 +33,10 @@ def test_traced_attribute_exists(owner, attr):
 
 
 def test_full_report_solves_the_drift_spectrum_once():
-    # r leaves the drift as it is, so solve_lyapunov's kept drift serves the
-    # second and third reports; a new delta_1 is a new drift
-    steady_state._drift_stage.cache_clear()
+    # r leaves the drift as it is, so a sequence of three r values is one
+    # drift group; a new delta_1 is a new drift
     with tracing.Tracer() as tracer:
-        for r in (0.2, 0.5, 0.8):
-            measures.full_report(default_params().replace(r=r))
+        measures.full_report([default_params().replace(r=r) for r in (0.2, 0.5, 0.8)])
     assert tracer.counts["steady_state.stability"] == 1
     assert tracer.counts["numerics.eig_general"] == 1
     base = default_params()
@@ -51,12 +49,13 @@ def test_full_report_solves_the_drift_spectrum_once():
 
 def test_traced_serial_sweep_counts_each_layer():
     # the per-layer figures are counted through these names: a point of a
-    # two-axis grid builds its parameters twice and gives one row, and each
-    # of the sweep's 8 chunks takes one full_report call
+    # two-axis grid builds its parameters twice and gives one row, and the
+    # sweep's one chunk (a chunk holds at least 8 points) takes one
+    # full_report call
     spec = with_resolution(figure_preset("fig4a"), (3, 3))
     with tracing.Tracer() as tracer:
         run_sweep(spec, workers=1)
-    assert tracer.counts["measures.full_report"] == 8
+    assert tracer.counts["measures.full_report"] == 1
     assert tracer.counts["model.params"] == 18
     assert tracer.counts["measures.as_dict"] == 9
     metrics = tracing.layer_metrics(tracer)

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cavmag.measures as measures
-from cavmag import steady_state
 from cavmag.errors import DomainError, NumericalError, PhysicalityError, StabilityError
 from cavmag.measures import (
     Mode,
@@ -793,8 +792,8 @@ class TestBatchedReport:
     def test_five_lapack_calls_per_point(self, monkeypatch):
         # README's count: the drift spectrum, the 36x36 solve, eigvalsh of V,
         # one stacked eigvals for the four spectra, one stacked det for the
-        # three pairs; four when the drift is the previous call's, whose
-        # spectrum solve_lyapunov keeps
+        # three pairs; a sequence of the point and its r/2 twin, which share
+        # the drift, makes the same five calls
         calls = collections.Counter()
 
         def counted(name, real):
@@ -810,13 +809,12 @@ class TestBatchedReport:
         for entry in points:
             if not entry.get("forced_unstable"):
                 p = PhysicalParams(**entry["params"])
-                steady_state._drift_stage.cache_clear()
-                calls.clear()
-                full_report(p)
-                assert calls == {"eigvals": 2, "eigvalsh": 1, "solve": 1, "det": 1}, entry["label"]
-                calls.clear()
-                full_report(p.replace(r=0.5 * p.r))
-                assert calls == {"eigvals": 1, "eigvalsh": 1, "solve": 1, "det": 1}, entry["label"]
+                for batch in (p, [p, p.replace(r=0.5 * p.r)]):
+                    calls.clear()
+                    full_report(batch)
+                    assert calls == {"eigvals": 2, "eigvalsh": 1, "solve": 1, "det": 1}, (
+                        entry["label"]
+                    )
 
     def test_no_determinant_check_is_reached_at_golden_points(self, monkeypatch):
         # the Heisenberg check on V bounds every determinant whose logarithm
@@ -883,11 +881,7 @@ class TestStackedReport:
     """full_report of a sequence is its points one at a time, to the last bit."""
 
     def cold_reports(self, points):
-        reports = []
-        for p in points:
-            steady_state._drift_stage.cache_clear()
-            reports.append(full_report(p))
-        return reports
+        return [full_report(p) for p in points]
 
     def test_stack_matches_points_one_at_a_time(self):
         with open(GOLDEN_REPORT, encoding="utf-8") as handle:
@@ -896,11 +890,14 @@ class TestStackedReport:
         base = default_params()
         detuned = base.replace(delta_1=KAPPA_C, delta_m=-0.0)
         # runs of a shared drift (r and T leave it as it is) between points
-        # with drifts of their own, and a drift that comes back after another
+        # with drifts of their own, a drift that comes back after another,
+        # and the two signed zeros of delta_m, whose drifts differ in their
+        # bytes and so form two groups (LAPACK's reflections read the sign
+        # of a zero)
         mixed = [
             base.replace(r=0.2), base.replace(r=0.5, temperature=1.0), base.replace(r=0.8),
             detuned, sideband_params(), sideband_params().replace(r=0.1, temperature=0.3),
-            detuned.replace(r=0.0), base, base.replace(delta_m=0.0),
+            detuned.replace(r=0.0), base, base.replace(delta_m=-0.0), base.replace(delta_m=0.0),
         ]
         # drift groups that interleave: r outer, gamma_2 / gamma_1 inner
         interleaved = [
@@ -932,7 +929,6 @@ class TestStackedReport:
         ]
         for name in LINALG_SOLVERS:
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        steady_state._drift_stage.cache_clear()
         full_report(points)
         assert calls == {"eigvals": 4, "solve": 3, "eigvalsh": 1, "det": 1}
 

@@ -1,5 +1,7 @@
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from cavmag.model import default_params, diffusion_matrix, drift_matrix
 from cavmag.steady_state import LYAPUNOV_RESIDUAL_RTOL, solve_lyapunov, stability
 from conftest import KAPPA_C, random_params
 from oracles import integrate_lyapunov_ode, lyapunov_mp
+from test_measures import report_bits
 from test_model import SWAP
 
 
@@ -166,38 +169,43 @@ class TestSolveLyapunov:
 
 
 class TestDriftMemo:
-    """solve_lyapunov keeps the last accepted drift's report and operator."""
+    """solve_lyapunov keeps nothing between calls: each call solves its drift."""
 
-    def test_repeated_drift_returns_the_same_report_and_a_cold_v(self):
-        p = default_params()
-        m = drift_matrix(p)
-        _, first = solve_lyapunov(m, diffusion_matrix(p))
-        d = diffusion_matrix(p.replace(r=0.7, temperature=0.3))
-        v, report = solve_lyapunov(m, d)
-        assert report is first
-        steady_state._drift_stage.cache_clear()
-        v_cold, report_cold = solve_lyapunov(m, d)
-        assert report is not report_cold
-        assert np.array_equal(v, v_cold)
-        assert np.array_equal(report.spectrum, report_cold.spectrum)
+    def test_a_drift_after_another_gives_its_cold_bits(self):
+        # A, B, A: the second A report is the first one's, to the last bit
+        base = default_params()
+        a, b = base, base.replace(delta_1=KAPPA_C, r=0.7)
+        cold = report_bits(full_report(a))
+        assert report_bits(full_report(b)) != cold
+        assert report_bits(full_report(a)) == cold
+
+    def test_only_the_kron_sum_tables_are_cached(self):
+        # a cache is state kept between calls; the operator's index tables
+        # depend on n alone, so they are the one cache in the package
+        cached = []
+        for path in sorted(Path(steady_state.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                for decorator in getattr(node, "decorator_list", []):
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = getattr(target, "attr", getattr(target, "id", None))
+                    if name in ("cache", "lru_cache"):
+                        cached.append(f"{path.name}:{node.name}")
+        assert cached == ["steady_state.py:_kron_sum_tables"]
 
     def test_unstable_drift_is_refused_every_call_and_not_kept(self):
         p = default_params()
         m, d = drift_matrix(p), diffusion_matrix(p)
-        _, kept = solve_lyapunov(m, d)
+        v, _ = solve_lyapunov(m, d)
         messages = []
-        for attempt in range(1, 3):
+        for _ in range(2):
             with pytest.raises(StabilityError) as err:
                 solve_lyapunov(np.eye(6), np.eye(6))
             messages.append(str(err.value))
-            info = steady_state._drift_stage.cache_info()
-            assert (info.hits, info.misses, info.currsize) == (0, 1 + attempt, 1)
         assert messages[0] == messages[1] == (
             "drift matrix is unstable (max Re lambda = 1.000000e+00)"
         )
-        # the refusals left the kept drift in place
-        assert solve_lyapunov(m, d)[1] is kept
-        assert steady_state._drift_stage.cache_info().hits == 1
+        # the refusals left nothing behind
+        assert np.array_equal(solve_lyapunov(m, d)[0], v)
 
     def test_same_bytes_in_another_shape_miss(self):
         p = default_params()
@@ -206,38 +214,16 @@ class TestDriftMemo:
         with pytest.raises(DimensionError, match=r"must be square, got shape \(4, 9\)"):
             solve_lyapunov(m.reshape(4, 9), np.eye(6).reshape(4, 9))
 
-    def test_signed_zero_drift_is_its_own_entry(self):
-        # at zero magnon detuning the drift holds -0.0 where -delta_m is
-        # taken; LAPACK's reflections read the sign of a zero, so the two
-        # drifts can have spectra that differ in the last bits
-        p = default_params().replace(delta_1=KAPPA_C, delta_2=-KAPPA_C, delta_m=0.0)
-        m_negative = drift_matrix(p)
-        m_positive = m_negative + 0.0
-        negative_zeros = np.signbit(m_negative) & (m_negative == 0.0)
-        assert negative_zeros.any() and not np.signbit(m_positive[negative_zeros]).any()
-        d = diffusion_matrix(p)
-        for cached, asked in ((m_positive, m_negative), (m_negative, m_positive)):
-            steady_state._drift_stage.cache_clear()
-            v_cold, report_cold = solve_lyapunov(asked, d)
-            steady_state._drift_stage.cache_clear()
-            solve_lyapunov(cached, d)
-            v, report = solve_lyapunov(asked, d)
-            assert np.array_equal(v, v_cold)
-            assert np.array_equal(np.signbit(v), np.signbit(v_cold))
-            assert report.max_real_part == report_cold.max_real_part
-            assert np.array_equal(report.spectrum, report_cold.spectrum)
-
-    def test_threads_sharing_the_memo_get_cold_results(self):
+    def test_threads_get_cold_results(self):
         # six threads on two cores, each cycling through three drifts and
-        # three diffusions with a short switch interval: a report or an
-        # operator mixed up between drifts would change V or the spectrum
+        # three diffusions with a short switch interval: state shared
+        # between calls that mixed up drifts would change V or the spectrum
         base = default_params()
         points = [base.replace(delta_1=k * KAPPA_C, r=r)
                   for k in (0.5, 1.0, 1.5) for r in (0.2, 0.5, 0.8)]
         problems = [(drift_matrix(p), diffusion_matrix(p)) for p in points]
         expected = []
         for m, d in problems:
-            steady_state._drift_stage.cache_clear()
             v, report = solve_lyapunov(m, d)
             expected.append((v, report.spectrum))
         failures = []
@@ -264,46 +250,34 @@ class TestDriftMemo:
         assert failures == []
 
     def test_shared_arrays_refuse_writes(self):
-        p = default_params()
-        report = full_report(p)
+        # the points of a drift group share its stability report
+        base = default_params()
+        reports = full_report([base, base.replace(r=0.7)])
+        assert reports[0].stability is reports[1].stability
         with pytest.raises(ValueError, match="read-only"):
-            report.stability.spectrum[0] = 0.0
-        m = drift_matrix(p)
-        kept, operator = steady_state._drift_stage(m.shape, m.tobytes())
-        assert kept is report.stability
-        with pytest.raises(ValueError, match="read-only"):
-            operator[0, 0] = 0.0
+            reports[0].stability.spectrum[0] = 0.0
 
     def test_layout_of_the_drift_does_not_matter(self):
-        # the drift is kept under its bytes in C order, so a Fortran-ordered
-        # copy and a strided view of the same values are the same drift, cold
-        # or kept, and give the V and spectrum of the C-ordered one
+        # a Fortran-ordered copy and a strided view of the same values give
+        # the V and spectrum of the C-ordered drift, signed zeros included
         p = default_params()
         m, d = drift_matrix(p), diffusion_matrix(p)
         holder = np.zeros((12, 12))
         holder[::2, ::2] = m
-        layouts = {"C": m, "Fortran": np.asfortranarray(m), "strided": holder[::2, ::2]}
+        layouts = {"Fortran": np.asfortranarray(m), "strided": holder[::2, ::2]}
         assert not layouts["Fortran"].flags.c_contiguous
         assert not layouts["strided"].flags.c_contiguous
         assert not layouts["strided"].flags.f_contiguous
         v_ref, report_ref = solve_lyapunov(m, d)
         spectrum_ref = report_ref.spectrum
-
-        def assert_same(v, report):
+        for layout in layouts.values():
+            v, report = solve_lyapunov(layout, d)
             assert np.array_equal(v, v_ref)
             assert np.array_equal(np.signbit(v), np.signbit(v_ref))
             assert np.array_equal(report.spectrum, spectrum_ref)
             for part in ("real", "imag"):
                 assert np.array_equal(np.signbit(getattr(report.spectrum, part)),
                                       np.signbit(getattr(spectrum_ref, part)))
-
-        for cold in layouts.values():
-            steady_state._drift_stage.cache_clear()
-            assert_same(*solve_lyapunov(cold, d))
-            for kept in layouts.values():
-                assert_same(*solve_lyapunov(kept, d))
-            info = steady_state._drift_stage.cache_info()
-            assert (info.hits, info.misses) == (len(layouts), 1)
 
 
 class TestStability:

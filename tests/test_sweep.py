@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import json
 import os
 import re
@@ -23,6 +24,7 @@ from cavmag.errors import (
 from cavmag.measures import REPORT_COLUMNS, full_report
 from cavmag.model import default_params
 from cavmag.sweep import (
+    AXES,
     AxisSpec,
     FIGURE_IDS,
     SweepSpec,
@@ -77,6 +79,23 @@ class TestSpecValidation:
         assert (
             "quantities: names must be distinct, got ['nope', 'e_n_c1c2', 'e_n_c1c2']" in message
         )
+
+    def test_unhashable_axis_parameter_is_listed(self):
+        # a list parameter once escaped as a bare TypeError: unhashable type
+        with pytest.raises(ValidationError) as err:
+            SweepSpec(
+                base=default_params(),
+                axes=(AxisSpec(["r"], 0, 1, 3), AxisSpec(["r"], 0, 1, 3)),
+                quantities=("nope",),
+            )
+        problems = str(err.value).removeprefix("invalid sweep spec: ").split("; ")
+        unknown = f"axes.parameter: ['r'] not one of {sorted(AXES)}"
+        assert problems == [
+            f"{unknown} (axis 0, ['r'])",
+            f"{unknown} (axis 1, ['r'])",
+            "axes: parameters must be distinct, got [['r'], ['r']]",
+            "quantities: unknown quantity 'nope'",
+        ]
 
     def test_doubled_stability_map_rejected(self):
         # ("lambda_max",) maps stability; doubled, it once took the
@@ -176,9 +195,10 @@ class TestRunSweep:
         assert np.all(grid[0, :] == 0.0)
 
     def test_shared_drift_rows_match_cold_solves(self, monkeypatch):
-        # an r x T sweep has one drift: its points after the first take the
-        # drift's spectrum and operator from solve_lyapunov's kept drift, and each
-        # cell is the one a solve from scratch gives, to the last bit
+        # an r x T sweep has one drift: each of the 3 chunks of a 5x5 grid
+        # solves its spectrum and operator once for all of the chunk's
+        # points, and each cell is the one a solve from scratch gives, to
+        # the last bit
         spec = replace(with_resolution(figure_preset("fig4a"), (5, 5)), quantities=REPORT_COLUMNS)
         real_stability = steady_state.stability
         warm_solves = []
@@ -189,16 +209,12 @@ class TestRunSweep:
 
         monkeypatch.setattr(steady_state, "stability", counted)
         warm = run_sweep(spec).rows
-        assert len(warm_solves) == 1
+        assert len(warm_solves) == 3
         monkeypatch.setattr(steady_state, "stability", real_stability)
         real_report = sweep_mod.full_report
 
         def cold_report(points):
-            reports = []
-            for params in points:
-                steady_state._drift_stage.cache_clear()
-                reports += real_report([params])
-            return reports
+            return [report for params in points for report in real_report([params])]
 
         monkeypatch.setattr(sweep_mod, "full_report", cold_report)
         cold = run_sweep(spec).rows
@@ -262,7 +278,8 @@ class TestRunSweep:
         monkeypatch.setattr(
             AxisSpec, "values", lambda ax: calls.append(ax) or real_values(ax)
         )
-        spec = with_resolution(figure_preset("fig4a"), (3, 4))
+        # 16 points make 2 chunks, so 2 workers run a pool
+        spec = with_resolution(figure_preset("fig4a"), (4, 4))
         for workers in (1, 2):
             calls.clear()
             run_sweep(spec, workers=workers)
@@ -270,9 +287,10 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_point_failure_names_its_grid_location(self, monkeypatch, workers):
+        # 27 points make 3 chunks, so 2 workers run a pool
         spec = SweepSpec(
             base=default_params(),
-            axes=(AxisSpec("r", 0.0, 1.0, 3), AxisSpec("temperature", 0.0, 2.0, 3)),
+            axes=(AxisSpec("r", 0.0, 1.0, 3), AxisSpec("temperature", 0.0, 2.0, 9)),
             quantities=("e_n_c1c2",),
         )
         real_report = sweep_mod.full_report
@@ -287,13 +305,13 @@ class TestRunSweep:
             run_sweep(spec, workers=workers)
         message = str(info.value)
         assert "synthetic failure" in message
-        assert "grid point 4, indices (1, 1): r = 0.5, temperature = 1.0" in message
+        assert "grid point 13, indices (1, 4): r = 0.5, temperature = 1.0" in message
 
     def test_parallel_failure_cancels_the_chunks_not_started(self, monkeypatch, tmp_path):
-        # 64 points in 16 chunks of 4; the first point fails at once and
+        # 128 points in 16 chunks of 8; the first point fails at once and
         # every other point takes 20 ms, so a pool that finished its queued
         # chunks before raising would evaluate nearly all of them
-        spec = small_spec(axes=(AxisSpec("r", 0.0, 1.0, 64),))
+        spec = small_spec(axes=(AxisSpec("r", 0.0, 1.0, 128),))
         log = tmp_path / "evaluated.txt"
 
         def fail_first(points):
@@ -334,7 +352,7 @@ class TestRunSweep:
 
     def test_late_refusal_is_raised_before_a_later_instability(self):
         # no fakes: point 0 (r = 9 at 2 K) is refused by the conditioning
-        # check of the measures and point 1, in the same chunk of two, by
+        # check of the measures and point 1, in the same chunk of eight, by
         # the stability check, which the chunk's stacked evaluation reaches
         # first; the sweep raises point 0's refusal, as one point at a time
         base = default_params().replace(r=9.0, temperature=2.0)
@@ -352,7 +370,7 @@ class TestRunSweep:
         assert str(info.value) == f"{alone.value} {where}"
 
     def test_failing_point_is_evaluated_once_per_retry(self, monkeypatch):
-        # the chunk's stack of two, the point alone in full_report's retry,
+        # the chunk's stack of eight, the point alone in full_report's retry,
         # and once more in the sweep's retry, which gives the grid location;
         # a sequence of one is not retried inside full_report
         sizes = []
@@ -367,7 +385,7 @@ class TestRunSweep:
         spec = small_spec(base=base, axes=(AxisSpec("gamma_ratio", 1.0, 1.5e17, 16),))
         with pytest.raises(NumericalError, match=re.escape("[at grid point 0, ")):
             run_sweep(spec)
-        assert sizes == [2, 1, 1]
+        assert sizes == [8, 1, 1]
 
     def test_squeezing_beyond_the_float_range_names_its_grid_point(self):
         # math.sinh overflows from r = 710.48; the sweep once raised a bare
@@ -380,9 +398,9 @@ class TestRunSweep:
         assert message.endswith("[at grid point 1, indices (1,): r = 1000.0]")
 
     def test_lapack_calls_per_chunk(self, monkeypatch):
-        # a serial 5x5 sweep runs 8 chunks, one call of each per chunk and
-        # one drift spectrum for the shared drift, where one call per point
-        # made 25 of each
+        # a serial 5x5 sweep runs 3 chunks, one call of each per chunk and
+        # one drift spectrum per chunk for the shared drift, where one call
+        # per point made 25 of each
         calls = collections.Counter()
 
         def counted(name, real):
@@ -394,19 +412,19 @@ class TestRunSweep:
         for name in ("solve", "eigvalsh", "det", "eigvals"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         run_sweep(with_resolution(figure_preset("fig4a"), (5, 5)), workers=1)
-        assert calls == {"solve": 8, "eigvalsh": 8, "det": 8, "eigvals": 9}
+        assert calls == {"solve": 3, "eigvalsh": 3, "det": 3, "eigvals": 6}
 
     @pytest.mark.parametrize("figure_id", FIGURE_IDS)
     def test_cells_match_points_one_at_a_time(self, figure_id):
         spec = figure_preset(figure_id)
-        spec = with_resolution(spec, (4, 3) if len(spec.axes) == 2 else (7,))
+        # 16 points make 2 chunks, so 2 workers run a pool
+        spec = with_resolution(spec, (4, 4) if len(spec.axes) == 2 else (16,))
         expected = []
         for index in np.ndindex(spec.shape):
             values = [float(ax.values()[i]) for ax, i in zip(spec.axes, index)]
             p = spec.base
             for ax, value in zip(spec.axes, values):
                 p = apply_axis_value(p, ax.parameter, value)
-            steady_state._drift_stage.cache_clear()
             report = full_report(p).as_dict()
             expected.append(values + [report[q] for q in spec.quantities] + [report["stable"]])
         for workers in (1, 2):
@@ -417,15 +435,62 @@ class TestRunSweep:
                 assert [x.hex() for x in row[:-1]] == [x.hex() for x in want[:-1]], workers
 
     def test_progress_reported(self):
-        spec = with_resolution(figure_preset("fig4a"), (3, 4))
+        spec = with_resolution(figure_preset("fig4a"), (4, 4))
         for workers in (1, 2):
             calls = []
             run_sweep(spec, workers=workers,
                       progress=lambda done, total: calls.append((done, total)))
             done = [d for d, _ in calls]
             assert all(a < b for a, b in zip(done, done[1:])), (workers, calls)
-            assert all(total == 12 for _, total in calls), (workers, calls)
-            assert calls[-1] == (12, 12), (workers, calls)
+            assert all(total == 16 for _, total in calls), (workers, calls)
+            assert calls[-1] == (16, 16), (workers, calls)
+
+    @pytest.mark.parametrize("shape, workers, done", [
+        ((9,), 1, [9]),
+        ((5, 5), 1, [8, 16, 25]),
+        ((64,), 2, [8, 16, 24, 32, 40, 48, 56, 64]),
+        ((101, 101), 1, [1275, 2550, 3825, 5100, 6375, 7650, 8925, 10201]),
+    ])
+    def test_chunk_bounds(self, monkeypatch, shape, workers, done):
+        # at most 8 chunks per worker and at least 8 points per chunk, so
+        # each chunk's drift stage is shared by 8 or more points
+        class Report:
+            def as_dict(self):
+                return dict.fromkeys(("e_n_c1c2", "stable"), 0.0)
+
+        monkeypatch.setattr(sweep_mod, "full_report", lambda points: [Report() for _ in points])
+        spec = small_spec(axes=tuple(AxisSpec(name, 0.0, 1.0, n)
+                                     for name, n in zip(("r", "temperature"), shape)))
+        calls = []
+        run_sweep(spec, workers=workers, progress=lambda d, total: calls.append((d, total)))
+        assert calls == [(d, spec.size) for d in done]
+
+    @pytest.mark.parametrize("size, workers, pool", [
+        (16, 5000, 2), (9, 5000, None), (64, 3, 3), (25, 2, 2),
+    ])
+    def test_pool_has_at_most_one_worker_per_chunk(self, monkeypatch, size, workers, pool):
+        # a fork-started pool starts all of its processes at the first
+        # submit, so 5000 workers on 2 chunks once forked 5000 processes
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        spec = small_spec(axes=(AxisSpec("r", 0.0, 1.0, size),))
+        result = run_sweep(spec, workers=workers)
+        assert started == ([] if pool is None else [pool])
+        assert result == run_sweep(spec)
 
 
 class TestFigurePresets:
