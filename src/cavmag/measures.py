@@ -246,6 +246,9 @@ _LAYOUT = (
     ("lambda_max", None, None),
 )
 REPORT_COLUMNS = tuple(column for column, _, _ in _LAYOUT)
+# The seven columns read from the one-vs-two partial transposes: the
+# splits, the residual contangles and their minimum.
+ONE_VS_TWO_COLUMNS = frozenset(REPORT_COLUMNS[4:11])
 
 
 def _view(name: str) -> property:
@@ -264,7 +267,9 @@ class CorrelationReport:
 
     values maps each of REPORT_COLUMNS, in order, to a float; the grouped
     views (e_n["c1c2"], steering["c1|m"], ...) and r_tau_min and nu_min read
-    from it.
+    from it. A report from full_report with quantities that need none of
+    the seven ONE_VS_TWO_COLUMNS holds every other column only, so
+    e_n_one_vs_two, residuals and r_tau_min raise KeyError on it.
     """
 
     stability: StabilityReport
@@ -303,6 +308,9 @@ _PAIR_INDEX = np.array([
 _PAIR_TWIST = np.kron(np.diag([1.0, -1.0]), symplectic_form(1))
 # Positions in _PAIRS of the two pairs holding each mode, in Mode order.
 _HOLDING_PAIRS = tuple(tuple(k for k, pair in enumerate(_PAIRS) if mode in pair) for mode in Mode)
+_COLUMN_SET = frozenset(REPORT_COLUMNS)
+# The columns of a report without the one-vs-two spectra, in _LAYOUT order.
+_COLUMNS_WITHOUT_ONE_VS_TWO = tuple(c for c in REPORT_COLUMNS if c not in ONE_VS_TWO_COLUMNS)
 # Factors of the logarithms of _measures: E_N = -ln(2 eta) for the three
 # one-vs-two splits, E_N = -(1/2) ln(4 eta^2) for the three pairs, and
 # zeta = (1/2) ln(det A / (4 det sigma)) for the six steering directions.
@@ -314,15 +322,16 @@ def _quotient(a: float, b: float) -> float:
     return a / b if b else a * math.copysign(math.inf, b)
 
 
-def _measures(v) -> list:
+def _measures(v, one_vs_two: bool = True) -> list:
     """The report rows of a stack of stationary CMs, all but lambda_max.
 
     v is a (k, 6, 6) stack; the result holds one row per CM, each a list
-    in _LAYOUT order. One Heisenberg check on V covers every reduced state:
-    with delta = PHYSICALITY_ATOL and nu_min >= 1/2 - delta,
-    V + i (1/2 - delta) Omega >= 0, so its principal blocks have
-    det >= (1/2 - delta)^2 per mode and its square per pair, and every
-    logarithm below has a positive argument. The pair measures come from
+    in _LAYOUT order, less the seven ONE_VS_TWO_COLUMNS unless one_vs_two
+    is true: only they read the one-vs-two spectra. One Heisenberg check
+    on V covers every reduced state: with delta = PHYSICALITY_ATOL and
+    nu_min >= 1/2 - delta, V + i (1/2 - delta) Omega >= 0, so its principal
+    blocks have det >= (1/2 - delta)^2 per mode and its square per pair,
+    and every logarithm below has a positive argument. The pair measures come from
     block invariants of sigma = [[A, C], [C^T, B]]:
     eta^2 = (Dt - sqrt(Dt^2 - 4 det sigma)) / 2 with
     Dt = det A + det B - 2 det C, and steering from a to b is
@@ -334,7 +343,8 @@ def _measures(v) -> list:
 
     Four steps run once on the whole stack: eigvalsh of each V; one
     eigen-solve of the stacked _SPECTRUM_FORMS @ V for the symplectic
-    spectra of each V and of its three one-vs-two partial transposes; one
+    spectrum of each V (which the Heisenberg refusal and nu_min read) and,
+    if one_vs_two, of its three one-vs-two partial transposes; one
     determinant of the stacked pair CMs; and the _PAIR_TWIST product for G.
     numpy loops over a stack calling LAPACK or BLAS once per matrix, so each
     value is the one a stack of one gives, bit for bit. _row then finishes
@@ -372,15 +382,19 @@ def _measures(v) -> list:
                 f"covariance matrix is not positive definite "
                 f"(smallest eigenvalue {eigenvalues[0]:.6g} <= 0)"
             )
-    spectra = np.linalg.eigvals(_SPECTRUM_FORMS @ v[:, None]).imag.tolist()
+    forms = _SPECTRUM_FORMS if one_vs_two else _SPECTRUM_FORMS[:1]
+    spectra = np.linalg.eigvals(forms @ v[:, None]).imag.tolist()
     pair_cms = v.reshape(-1, 36).take(_PAIR_INDEX, axis=1)
     g = (pair_cms[:, :, :2] @ _PAIR_TWIST @ pair_cms[..., 2:]).reshape(-1, 3, 4).tolist()
     return list(map(_row, v.tolist(), spectra, np.linalg.det(pair_cms).tolist(), g))
 
 
 def _row(x: list, spectra: list, det_pairs: list, g: list) -> list:
-    """The report row of one CM x (nested lists) from its four symplectic
-    spectra (imaginary parts), its three pair determinants and G entries."""
+    """The report row of one CM x (nested lists) from its symplectic
+    spectra (imaginary parts: V's, then those of its three one-vs-two
+    partial transposes, if given), its three pair determinants and G
+    entries; without the one-vs-two spectra the row lacks the seven
+    ONE_VS_TWO_COLUMNS."""
     # +/- i nu pairs: the second-smallest modulus is the smallest nu
     nu_min = _require_heisenberg(sorted(map(abs, spectra[0]))[1])
 
@@ -404,17 +418,18 @@ def _row(x: list, spectra: list, det_pairs: list, g: list) -> list:
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(log_args + steering_args).tolist()
     # max(0, scale ln), a nan let through to the finiteness test, -0.0 read as 0.0
-    logs = [0.0 if y <= 0.0 else y for y in map(operator.mul, _LOG_SCALES, logs)]
-    e_n_split, e_n_pairs, zeta = logs[:3], logs[3:6], logs[6:]
+    n_split = len(spectra) - 1
+    scales = _LOG_SCALES[3 - n_split:]
+    logs = [0.0 if y <= 0.0 else y for y in map(operator.mul, scales, logs)]
+    e_n_split, e_n_pairs, zeta = logs[:n_split], logs[n_split:n_split + 3], logs[n_split + 3:]
 
-    # each focus mode's contangle less those of the two pairs holding it
-    squares = [e * e for e in e_n_pairs]
-    residuals = [e * e - (squares[h] + squares[k]) for e, (h, k) in zip(e_n_split, _HOLDING_PAIRS)]
-    row = [  # in _LAYOUT order
-        *e_n_pairs, max(e_n_pairs[1:]), *e_n_split,
-        *residuals, _clamp_residual(min(residuals)),
-        *zeta, *[abs(a - b) for a, b in zip(zeta[::2], zeta[1::2])], nu_min,
-    ]
+    row = [*e_n_pairs, max(e_n_pairs[1:])]  # in _LAYOUT order
+    if e_n_split:
+        # each focus mode's contangle less those of the two pairs holding it
+        squares = [e * e for e in e_n_pairs]
+        residuals = [e * e - (squares[h] + squares[k]) for e, (h, k) in zip(e_n_split, _HOLDING_PAIRS)]
+        row += [*e_n_split, *residuals, _clamp_residual(min(residuals))]
+    row += [*zeta, *[abs(a - b) for a, b in zip(zeta[::2], zeta[1::2])], nu_min]
     if not all(map(math.isfinite, row)):
         raise NumericalError("a correlation measure is not finite")
     return row
@@ -422,6 +437,8 @@ def _row(x: list, spectra: list, det_pairs: list, g: list) -> list:
 
 def full_report(
     points: PhysicalParams | Iterable[PhysicalParams],
+    *,
+    quantities: Iterable[str] = REPORT_COLUMNS,
 ) -> CorrelationReport | list[CorrelationReport]:
     """Stability, steady state and all correlation measures at parameter points.
 
@@ -434,31 +451,49 @@ def full_report(
     CavmagError, or a LinAlgError from a stacked LAPACK call) it is
     evaluated again one point at a time: the first failing point raises the
     error it raises on its own, and a sequence of one is evaluated once.
+
+    quantities names the columns the caller reads (every one of
+    REPORT_COLUMNS by default); a name outside them raises DomainError.
+    Only the seven ONE_VS_TWO_COLUMNS (e_n_m_vs_c1c2, e_n_c1_vs_mc2,
+    e_n_c2_vs_mc1, r_tau_m, r_tau_c1, r_tau_c2 and r_tau_min) read the
+    spectra of the three one-vs-two partial transposes. When quantities
+    names none of them, those spectra are not computed and each report
+    holds every other column, with the bits and the refusals of the full
+    evaluation.
     """
+    quantities = tuple(quantities)  # read twice below
+    try:
+        known = _COLUMN_SET.issuperset(quantities)
+    except TypeError:  # an unhashable name
+        known = False
+    if not known:
+        raise DomainError(f"unknown quantities in {quantities}; expected names from REPORT_COLUMNS")
+    one_vs_two = not ONE_VS_TWO_COLUMNS.isdisjoint(quantities)
     if isinstance(points, PhysicalParams):
-        return _report(points)
+        return _report(points, one_vs_two)
     points = list(points)
     if len(points) > 1:
         try:
-            return _reports(points)
+            return _reports(points, one_vs_two)
         except (CavmagError, np.linalg.LinAlgError):
             pass  # evaluated again below, one point at a time
-    return [_report(p) for p in points]
+    return [_report(p, one_vs_two) for p in points]
 
 
-def _report(p: PhysicalParams) -> CorrelationReport:
+def _report(p: PhysicalParams, one_vs_two: bool) -> CorrelationReport:
     """One point's report, a stack of one; a CavmagError names the point."""
     try:
-        [report] = _reports([p])
+        [report] = _reports([p], one_vs_two)
     except CavmagError as exc:
         raise type(exc)(f"{exc} [at parameter point {p}]") from exc
     return report
 
 
-def _reports(points: list) -> list:
+def _reports(points: list, one_vs_two: bool) -> list:
     """The reports of a non-empty stack of points, in its order: one
     solve_lyapunov call per distinct drift, on the diffusion matrices of
-    the points that share it wherever they sit, and one _measures call."""
+    the points that share it wherever they sit, and one _measures call
+    (with the one-vs-two spectra if one_vs_two)."""
     groups = {}  # the drift's bytes: (drift, its points' positions, their D)
     for i, p in enumerate(points):
         m = model.drift_matrix(p)
@@ -471,8 +506,9 @@ def _reports(points: list) -> list:
         stacks.append(v)
         placed += [(i, report) for i in positions]
     v = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    columns = REPORT_COLUMNS if one_vs_two else _COLUMNS_WITHOUT_ONE_VS_TWO
     reports = [None] * len(points)
-    for (i, report), row in zip(placed, _measures(v)):
+    for (i, report), row in zip(placed, _measures(v, one_vs_two)):
         row.append(report.max_real_part)
-        reports[i] = CorrelationReport(report, dict(zip(REPORT_COLUMNS, row, strict=True)))
+        reports[i] = CorrelationReport(report, dict(zip(columns, row, strict=True)))
     return reports

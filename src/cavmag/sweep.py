@@ -146,7 +146,8 @@ class SweepResult:
 
 def apply_axis_value(base: PhysicalParams, parameter: str, value: float) -> PhysicalParams:
     """Base parameters with one axis coordinate applied (axis units resolved)."""
-    if parameter not in AXES:
+    # isinstance first: an unhashable parameter cannot be looked up
+    if not isinstance(parameter, str) or parameter not in AXES:
         raise ValidationError(f"unknown axis parameter {parameter!r}")
     field, scale = AXES[parameter]
     return base.replace(**{field: value if scale is None else value * getattr(base, scale)})
@@ -173,7 +174,7 @@ def _rows(spec: SweepSpec, axis_values, indices) -> list:
         # a stability map needs the drift spectrum only, no steady state
         stabs = [steady_state.stability(model.drift_matrix(p)) for p in points]
         return [point + [stab.max_real_part, stab.stable] for point, stab in zip(values, stabs)]
-    reports = [report.as_dict() for report in full_report(points)]
+    reports = [report.as_dict() for report in full_report(points, quantities=spec.quantities)]
     return [
         point + [report[q] for q in spec.quantities] + [report["stable"]]
         for point, report in zip(values, reports)
@@ -211,10 +212,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     evaluated in turn or by a pool of at most one worker per chunk
     (workers is an integer >= 1, checked before any point is evaluated);
     progress(done, total) is called after each chunk. Each chunk's points
-    go to one full_report call, which evaluates them as one stack grouped
-    by drift matrix: the points of a chunk that share a drift, consecutive
-    or not (as on the r x gamma_ratio maps), share its eigen-solve and
-    Lyapunov operator, and the rows stay in row-major order. Nothing is
+    go to one full_report call with the spec's quantities, which evaluates
+    them as one stack grouped by drift matrix, and skips the spectra of the
+    one-vs-two partial transposes unless a quantity reads them (the seven
+    measures.ONE_VS_TWO_COLUMNS: the one-vs-two negativities and the
+    residual contangles, on fig5a-d). The points of a chunk that share a
+    drift, consecutive or not (as on the r x gamma_ratio maps), share its
+    eigen-solve and Lyapunov operator, and the rows stay in row-major order. Nothing is
     kept between chunks, so a drift is solved once per chunk it appears
     in. A CavmagError at a point, a drift that is not Hurwitz stable
     included, aborts the sweep: the failing chunk is evaluated again one

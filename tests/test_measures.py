@@ -15,7 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cavmag.measures as measures
-from cavmag.errors import DomainError, NumericalError, PhysicalityError, StabilityError
+from cavmag.errors import (
+    CavmagError,
+    DomainError,
+    NumericalError,
+    PhysicalityError,
+    StabilityError,
+)
 from cavmag.measures import (
     Mode,
     classify_steering,
@@ -953,6 +959,55 @@ class TestStackedReport:
         with pytest.raises(NumericalError) as stacked:
             full_report([valid, squeezed, unstable])
         assert str(stacked.value) == str(alone.value)
+
+    def test_pair_quantities_skip_the_one_vs_two_stage_bit_for_bit(self):
+        # point_inputs-style draws (detunings in kappa_c), then r from 5 to
+        # 30 at 0 and 2 K, where the conditioning refusal fires from r = 5.56:
+        # without the one-vs-two spectra each point is refused as the full
+        # evaluation refuses it, or holds the full report's bits less the
+        # seven columns that read those spectra
+        base = default_params()
+        kc = base.kappa_c
+        draws = np.random.default_rng(24).uniform(
+            [-6.0, -6.0, -6.0, 0.0, 0.0, 0.0, 0.2], [6.0, 6.0, 6.0, 1.0, 0.5, 2.0, 2.2],
+            size=(300, 7),
+        )
+        points = [
+            base.replace(delta_1=d1 * kc, delta_2=d2 * kc, delta_m=dm * kc, r=r, temperature=t,
+                         gamma_2=g * base.gamma_1, kappa_2=k * base.kappa_1)
+            for d1, d2, dm, r, t, g, k in draws.tolist()
+        ]
+        points += [
+            base.replace(r=r, temperature=t) for r in np.linspace(5.0, 30.0, 51).tolist()
+            for t in (0.0, 2.0)
+        ]
+        pair_columns = [c for c in measures.REPORT_COLUMNS if c not in measures.ONE_VS_TWO_COLUMNS]
+        outcomes = collections.Counter()
+        for p in points:
+            try:
+                full = full_report(p).values
+            except CavmagError as exc:
+                with pytest.raises(CavmagError) as skipped:
+                    full_report(p, quantities=("e_n_c1c2",))
+                assert type(skipped.value) is type(exc), p
+                assert str(skipped.value) == str(exc)
+                outcomes[type(exc).__name__] += 1
+                continue
+            skipped = full_report(p, quantities=("e_n_c1c2",)).values
+            assert list(skipped) == pair_columns
+            assert [skipped[c].hex() for c in pair_columns] == [full[c].hex() for c in pair_columns]
+            outcomes["accepted"] += 1
+        assert outcomes == {"accepted": 304, "NumericalError": 98}
+
+    def test_quantities_are_report_columns(self):
+        p = default_params()
+        assert len(full_report(p, quantities=()).values) == len(measures.REPORT_COLUMNS) - 7
+        assert list(full_report(p, quantities=("r_tau_min",)).values) == list(
+            measures.REPORT_COLUMNS
+        )
+        for quantities in (("e_n_c1c2", "nope"), "e_n_c1c2", (["r"],)):
+            with pytest.raises(DomainError, match="^unknown quantities in "):
+                full_report(p, quantities=quantities)
 
     def test_stacked_lapack_failure_is_retried_one_point_at_a_time(self, monkeypatch):
         real_det = np.linalg.det

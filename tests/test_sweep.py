@@ -160,6 +160,9 @@ class TestAxisApplication:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValidationError, match="bogus"):
             apply_axis_value(default_params(), "bogus", 1.0)
+        # a list once raised a bare TypeError: unhashable type: 'list'
+        with pytest.raises(ValidationError, match=re.escape("unknown axis parameter ['r']")):
+            apply_axis_value(default_params(), ["r"], 0.5)
 
 
 class TestRunSweep:
@@ -213,8 +216,8 @@ class TestRunSweep:
         monkeypatch.setattr(steady_state, "stability", real_stability)
         real_report = sweep_mod.full_report
 
-        def cold_report(points):
-            return [report for params in points for report in real_report([params])]
+        def cold_report(points, **kwargs):
+            return [report for params in points for report in real_report([params], **kwargs)]
 
         monkeypatch.setattr(sweep_mod, "full_report", cold_report)
         cold = run_sweep(spec).rows
@@ -244,7 +247,7 @@ class TestRunSweep:
     ):
         # 0 and -1 once ran serially, 2.5 failed as a bare TypeError and
         # True ran as one worker
-        def refuse(params):
+        def refuse(points, **kwargs):
             raise AssertionError("a point was evaluated")
 
         monkeypatch.setattr(sweep_mod, "full_report", refuse)
@@ -266,7 +269,7 @@ class TestRunSweep:
 
         expected = [expected_row(i) for i in range(spec.size)]
 
-        def refuse(params):
+        def refuse(points, **kwargs):
             raise AssertionError("full_report called by a lambda_max-only sweep")
 
         monkeypatch.setattr(sweep_mod, "full_report", refuse)
@@ -295,10 +298,10 @@ class TestRunSweep:
         )
         real_report = sweep_mod.full_report
 
-        def fail_at_centre(points):
+        def fail_at_centre(points, **kwargs):
             if any(params.r == 0.5 and params.temperature == 1.0 for params in points):
                 raise PhysicalityError("synthetic failure")
-            return real_report(points)
+            return real_report(points, **kwargs)
 
         monkeypatch.setattr(sweep_mod, "full_report", fail_at_centre)
         with pytest.raises(PhysicalityError) as info:
@@ -314,14 +317,14 @@ class TestRunSweep:
         spec = small_spec(axes=(AxisSpec("r", 0.0, 1.0, 128),))
         log = tmp_path / "evaluated.txt"
 
-        def fail_first(points):
+        def fail_first(points, **kwargs):
             if any(params.r == 0.0 for params in points):
                 raise PhysicalityError("synthetic failure")
             for params in points:
                 with open(log, "a", encoding="utf-8") as handle:
                     handle.write(f"{params.r!r}\n")
                 time.sleep(0.02)
-            return full_report(points)
+            return full_report(points, **kwargs)
 
         monkeypatch.setattr(sweep_mod, "full_report", fail_first)
         with pytest.raises(PhysicalityError, match="grid point 0, indices \\(0,\\)"):
@@ -337,7 +340,7 @@ class TestRunSweep:
             from cavmag.model import default_params
             from cavmag.sweep import AxisSpec, SweepSpec, run_sweep
 
-            def fail(points):
+            def fail(points, **kwargs):
                 raise ValueError(f"synthetic failure at r = {points[0].r}")
 
             sweep_mod.full_report = fail
@@ -376,9 +379,9 @@ class TestRunSweep:
         sizes = []
         real_reports = measures._reports
 
-        def recorded(points):
+        def recorded(points, one_vs_two):
             sizes.append(len(points))
-            return real_reports(points)
+            return real_reports(points, one_vs_two)
 
         monkeypatch.setattr(measures, "_reports", recorded)
         base = default_params().replace(r=9.0, temperature=2.0)
@@ -398,27 +401,43 @@ class TestRunSweep:
         assert message.endswith("[at grid point 1, indices (1,): r = 1000.0]")
 
     def test_lapack_calls_per_chunk(self, monkeypatch):
-        # a serial 5x5 sweep runs 3 chunks, one call of each per chunk and
-        # one drift spectrum per chunk for the shared drift, where one call
-        # per point made 25 of each
+        # a serial 5x5 sweep runs 3 chunks (8, 8 and 9 points), one call of
+        # each per chunk and one drift spectrum per chunk for the shared
+        # drift, where one call per point made 25 of each; the stacked
+        # spectra hold V's alone unless a column reads the one-vs-two splits
         calls = collections.Counter()
+        spectra_shapes = []
 
         def counted(name, real):
-            def wrapper(*args, **kwargs):
+            def wrapper(a, *args, **kwargs):
                 calls[name] += 1
-                return real(*args, **kwargs)
+                if name == "eigvals" and a.ndim == 4:
+                    spectra_shapes.append(a.shape)
+                return real(a, *args, **kwargs)
             return wrapper
 
         for name in ("solve", "eigvalsh", "det", "eigvals"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         run_sweep(with_resolution(figure_preset("fig4a"), (5, 5)), workers=1)
         assert calls == {"solve": 3, "eigvalsh": 3, "det": 3, "eigvals": 6}
+        assert spectra_shapes == [(8, 1, 6, 6), (8, 1, 6, 6), (9, 1, 6, 6)]
+        spectra_shapes.clear()
+        run_sweep(with_resolution(figure_preset("fig5a"), (5, 5)), workers=1)
+        assert spectra_shapes == [(8, 4, 6, 6), (8, 4, 6, 6), (9, 4, 6, 6)]
 
-    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
-    def test_cells_match_points_one_at_a_time(self, figure_id):
+    # every preset, then each column alone on fig5a, so a column on the
+    # wrong side of the one-vs-two stage differs from the full report
+    @pytest.mark.parametrize("figure_id, quantities", [
+        *(pytest.param(figure_id, None, id=figure_id) for figure_id in FIGURE_IDS),
+        *(pytest.param("fig5a", (q,), id=f"fig5a-{q}") for q in REPORT_COLUMNS),
+    ])
+    def test_cells_match_points_one_at_a_time(self, figure_id, quantities):
         spec = figure_preset(figure_id)
-        # 16 points make 2 chunks, so 2 workers run a pool
-        spec = with_resolution(spec, (4, 4) if len(spec.axes) == 2 else (16,))
+        if quantities is None:
+            # 16 points make 2 chunks, so 2 workers run a pool
+            spec = with_resolution(spec, (4, 4) if len(spec.axes) == 2 else (16,))
+        else:
+            spec = replace(with_resolution(spec, (3, 3)), quantities=quantities)
         expected = []
         for index in np.ndindex(spec.shape):
             values = [float(ax.values()[i]) for ax, i in zip(spec.axes, index)]
@@ -458,7 +477,8 @@ class TestRunSweep:
             def as_dict(self):
                 return dict.fromkeys(("e_n_c1c2", "stable"), 0.0)
 
-        monkeypatch.setattr(sweep_mod, "full_report", lambda points: [Report() for _ in points])
+        monkeypatch.setattr(sweep_mod, "full_report",
+                            lambda points, **kwargs: [Report() for _ in points])
         spec = small_spec(axes=tuple(AxisSpec(name, 0.0, 1.0, n)
                                      for name, n in zip(("r", "temperature"), shape)))
         calls = []
