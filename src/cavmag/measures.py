@@ -12,6 +12,7 @@ the joint two-mode state.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 from collections.abc import Iterable
@@ -249,6 +250,8 @@ REPORT_COLUMNS = tuple(column for column, _, _ in _LAYOUT)
 # The seven columns read from the one-vs-two partial transposes: the
 # splits, the residual contangles and their minimum.
 ONE_VS_TWO_COLUMNS = frozenset(REPORT_COLUMNS[4:11])
+# The nine steering columns: the six directions and the three asymmetries.
+STEERING_COLUMNS = frozenset(REPORT_COLUMNS[11:20])
 
 
 def _view(name: str) -> property:
@@ -267,9 +270,11 @@ class CorrelationReport:
 
     values maps each of REPORT_COLUMNS, in order, to a float; the grouped
     views (e_n["c1c2"], steering["c1|m"], ...) and r_tau_min and nu_min read
-    from it. A report from full_report with quantities that need none of
-    the seven ONE_VS_TWO_COLUMNS holds every other column only, so
-    e_n_one_vs_two, residuals and r_tau_min raise KeyError on it.
+    from it. full_report leaves out the stages its quantities do not read:
+    without the seven ONE_VS_TWO_COLUMNS, e_n_one_vs_two, residuals and
+    r_tau_min raise KeyError; without the nine STEERING_COLUMNS, steering
+    and asymmetry do. The pair negativities, nu_min and lambda_max are in
+    every report.
     """
 
     stability: StabilityReport
@@ -309,8 +314,15 @@ _PAIR_TWIST = np.kron(np.diag([1.0, -1.0]), symplectic_form(1))
 # Positions in _PAIRS of the two pairs holding each mode, in Mode order.
 _HOLDING_PAIRS = tuple(tuple(k for k, pair in enumerate(_PAIRS) if mode in pair) for mode in Mode)
 _COLUMN_SET = frozenset(REPORT_COLUMNS)
-# The columns of a report without the one-vs-two spectra, in _LAYOUT order.
-_COLUMNS_WITHOUT_ONE_VS_TWO = tuple(c for c in REPORT_COLUMNS if c not in ONE_VS_TWO_COLUMNS)
+# The columns of a report row, in _LAYOUT order, for each (one_vs_two,
+# steering) pair of the optional stages that _measures takes.
+_STAGE_COLUMNS = {
+    (one_vs_two, steering): tuple(
+        c for c in REPORT_COLUMNS
+        if (one_vs_two or c not in ONE_VS_TWO_COLUMNS) and (steering or c not in STEERING_COLUMNS)
+    )
+    for one_vs_two, steering in itertools.product((False, True), repeat=2)
+}
 # Factors of the logarithms of _measures: E_N = -ln(2 eta) for the three
 # one-vs-two splits, E_N = -(1/2) ln(4 eta^2) for the three pairs, and
 # zeta = (1/2) ln(det A / (4 det sigma)) for the six steering directions.
@@ -322,12 +334,13 @@ def _quotient(a: float, b: float) -> float:
     return a / b if b else a * math.copysign(math.inf, b)
 
 
-def _measures(v, one_vs_two: bool = True) -> list:
+def _measures(v, one_vs_two: bool = True, steering: bool = True) -> list:
     """The report rows of a stack of stationary CMs, all but lambda_max.
 
     v is a (k, 6, 6) stack; the result holds one row per CM, each a list
     in _LAYOUT order, less the seven ONE_VS_TWO_COLUMNS unless one_vs_two
-    is true: only they read the one-vs-two spectra. One Heisenberg check
+    is true (only they read the one-vs-two spectra) and less the nine
+    STEERING_COLUMNS unless steering is true. One Heisenberg check
     on V covers every reduced state: with delta = PHYSICALITY_ATOL and
     nu_min >= 1/2 - delta, V + i (1/2 - delta) Omega >= 0, so its principal
     blocks have det >= (1/2 - delta)^2 per mode and its square per pair,
@@ -349,7 +362,9 @@ def _measures(v, one_vs_two: bool = True) -> list:
     numpy loops over a stack calling LAPACK or BLAS once per matrix, so each
     value is the one a stack of one gives, bit for bit. _row then finishes
     each CM on Python floats from one .tolist() of each array, with one
-    logarithm of its twelve arguments on numpy; every step is the IEEE
+    numpy logarithm of its 3 to 12 arguments (element by element, so each
+    value is the same whichever others sit beside it), all under one
+    np.errstate for the stack; every step is the IEEE
     operation an elementwise array version takes, in the same order
     (x * x, as ** raises on overflow; _quotient, as Python's division
     raises where IEEE gives inf or nan). So the row is bit for bit that of
@@ -386,20 +401,27 @@ def _measures(v, one_vs_two: bool = True) -> list:
     spectra = np.linalg.eigvals(forms @ v[:, None]).imag.tolist()
     pair_cms = v.reshape(-1, 36).take(_PAIR_INDEX, axis=1)
     g = (pair_cms[:, :, :2] @ _PAIR_TWIST @ pair_cms[..., 2:]).reshape(-1, 3, 4).tolist()
-    return list(map(_row, v.tolist(), spectra, np.linalg.det(pair_cms).tolist(), g))
+    det_pairs = np.linalg.det(pair_cms).tolist()
+    # a partially transposed eigenvalue below the rounding error of V can
+    # come out as zero; the finiteness test of _row refuses the infinite
+    # negativity, so numpy is not let warn of it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return list(map(_row, v.tolist(), spectra, det_pairs, g, itertools.repeat(steering)))
 
 
-def _row(x: list, spectra: list, det_pairs: list, g: list) -> list:
+def _row(x: list, spectra: list, det_pairs: list, g: list, steering: bool) -> list:
     """The report row of one CM x (nested lists) from its symplectic
     spectra (imaginary parts: V's, then those of its three one-vs-two
     partial transposes, if given), its three pair determinants and G
-    entries; without the one-vs-two spectra the row lacks the seven
-    ONE_VS_TWO_COLUMNS."""
+    entries. Without the one-vs-two spectra the row lacks the seven
+    ONE_VS_TWO_COLUMNS; unless steering is true it lacks the nine
+    STEERING_COLUMNS and takes none of their quotients and logarithms.
+    The caller holds numpy's errstate for the logarithm."""
     # +/- i nu pairs: the second-smallest modulus is the smallest nu
     nu_min = _require_heisenberg(sorted(map(abs, spectra[0]))[1])
 
-    # 2 eta of each one-vs-two split, 4 eta^2 of each pair, then
-    # det A / (4 det sigma) of each steering direction
+    # 2 eta of each one-vs-two split, 4 eta^2 of each pair, then, with
+    # steering, det A / (4 det sigma) of each steering direction
     log_args = [2.0 * min(map(abs, spectrum)) for spectrum in spectra[1:]]
     steering_args = []
     det_modes = [x[i][i] * x[i + 1][i + 1] - x[i][i + 1] * x[i + 1][i] for i in (0, 2, 4)]
@@ -411,19 +433,16 @@ def _row(x: list, spectra: list, det_pairs: list, g: list) -> list:
         split = math.sqrt(max(diff * diff - 4.0 * (g0 * g3 - g1 * g2), 0.0))
         # the rationalized root: (Dt - split) / 2 cancels digits when eta is small
         log_args.append(4.0 * _quotient(2.0 * det_pair, delta_pt + split))
-        steering_args += _quotient(det_a, 4.0 * det_pair), _quotient(det_b, 4.0 * det_pair)
-    # a partially transposed eigenvalue below the rounding error of V can
-    # come out as zero; the finiteness test below refuses the infinite
-    # negativity, so numpy is not let warn of it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(log_args + steering_args).tolist()
+        if steering:
+            steering_args += _quotient(det_a, 4.0 * det_pair), _quotient(det_b, 4.0 * det_pair)
+    logs = np.log(log_args + steering_args).tolist()
     # max(0, scale ln), a nan let through to the finiteness test, -0.0 read as 0.0
     n_split = len(spectra) - 1
     scales = _LOG_SCALES[3 - n_split:]
     logs = [0.0 if y <= 0.0 else y for y in map(operator.mul, scales, logs)]
     e_n_split, e_n_pairs, zeta = logs[:n_split], logs[n_split:n_split + 3], logs[n_split + 3:]
 
-    row = [*e_n_pairs, max(e_n_pairs[1:])]  # in _LAYOUT order
+    row = [*e_n_pairs, max(e_n_pairs[1:])]  # in _LAYOUT order; zeta may be empty
     if e_n_split:
         # each focus mode's contangle less those of the two pairs holding it
         squares = [e * e for e in e_n_pairs]
@@ -454,12 +473,15 @@ def full_report(
 
     quantities names the columns the caller reads (every one of
     REPORT_COLUMNS by default); a name outside them raises DomainError.
-    Only the seven ONE_VS_TWO_COLUMNS (e_n_m_vs_c1c2, e_n_c1_vs_mc2,
-    e_n_c2_vs_mc1, r_tau_m, r_tau_c1, r_tau_c2 and r_tau_min) read the
-    spectra of the three one-vs-two partial transposes. When quantities
-    names none of them, those spectra are not computed and each report
-    holds every other column, with the bits and the refusals of the full
-    evaluation.
+    Two stages run only when a quantity reads them. The seven
+    ONE_VS_TWO_COLUMNS (e_n_m_vs_c1c2, e_n_c1_vs_mc2, e_n_c2_vs_mc1,
+    r_tau_m, r_tau_c1, r_tau_c2 and r_tau_min) read the spectra of the three
+    one-vs-two partial transposes; the nine STEERING_COLUMNS (the six
+    zeta_* directions and the three zeta_s_* asymmetries) read the steering
+    quotients and their logarithms. A report without a stage lacks its
+    columns and holds every other one, with the bits and the refusals of
+    the full evaluation; the pair negativities, e_n_mc_max, nu_min and
+    lambda_max are always computed.
     """
     quantities = tuple(quantities)  # read twice below
     try:
@@ -468,32 +490,35 @@ def full_report(
         known = False
     if not known:
         raise DomainError(f"unknown quantities in {quantities}; expected names from REPORT_COLUMNS")
-    one_vs_two = not ONE_VS_TWO_COLUMNS.isdisjoint(quantities)
+    stages = (
+        not ONE_VS_TWO_COLUMNS.isdisjoint(quantities),
+        not STEERING_COLUMNS.isdisjoint(quantities),
+    )
     if isinstance(points, PhysicalParams):
-        return _report(points, one_vs_two)
+        return _report(points, stages)
     points = list(points)
     if len(points) > 1:
         try:
-            return _reports(points, one_vs_two)
+            return _reports(points, stages)
         except (CavmagError, np.linalg.LinAlgError):
             pass  # evaluated again below, one point at a time
-    return [_report(p, one_vs_two) for p in points]
+    return [_report(p, stages) for p in points]
 
 
-def _report(p: PhysicalParams, one_vs_two: bool) -> CorrelationReport:
+def _report(p: PhysicalParams, stages: tuple) -> CorrelationReport:
     """One point's report, a stack of one; a CavmagError names the point."""
     try:
-        [report] = _reports([p], one_vs_two)
+        [report] = _reports([p], stages)
     except CavmagError as exc:
         raise type(exc)(f"{exc} [at parameter point {p}]") from exc
     return report
 
 
-def _reports(points: list, one_vs_two: bool) -> list:
+def _reports(points: list, stages: tuple) -> list:
     """The reports of a non-empty stack of points, in its order: one
     solve_lyapunov call per distinct drift, on the diffusion matrices of
     the points that share it wherever they sit, and one _measures call
-    (with the one-vs-two spectra if one_vs_two)."""
+    with the optional stages (one_vs_two, steering) that stages holds."""
     groups = {}  # the drift's bytes: (drift, its points' positions, their D)
     for i, p in enumerate(points):
         m = model.drift_matrix(p)
@@ -506,9 +531,9 @@ def _reports(points: list, one_vs_two: bool) -> list:
         stacks.append(v)
         placed += [(i, report) for i in positions]
     v = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-    columns = REPORT_COLUMNS if one_vs_two else _COLUMNS_WITHOUT_ONE_VS_TWO
+    columns = _STAGE_COLUMNS[stages]
     reports = [None] * len(points)
-    for (i, report), row in zip(placed, _measures(v, one_vs_two)):
+    for (i, report), row in zip(placed, _measures(v, *stages)):
         row.append(report.max_real_part)
         reports[i] = CorrelationReport(report, dict(zip(columns, row, strict=True)))
     return reports

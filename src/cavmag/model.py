@@ -59,21 +59,7 @@ class PhysicalParams:
     temperature: float = 0.0
 
     def __post_init__(self):
-        for name in _FIELD_NAMES:
-            x = getattr(self, name)
-            if type(x) is float and math.isfinite(x):
-                continue
-            value = finite_float(x)
-            if value is None:
-                raise DomainError(f"{name} must be a finite real number, got {x!r}")
-            # a Fraction or an integer would reach numpy as an object or int
-            object.__setattr__(self, name, value)
-        for name in ("kappa_1", "kappa_2", "kappa_m", "omega_m"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("gamma_1", "gamma_2", "r", "temperature"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be non-negative, got {getattr(self, name)}")
+        _check_fields(self.__dict__, self.__dict__)  # every field, in declaration order
 
     @property
     def kappa_c(self) -> float:
@@ -81,8 +67,23 @@ class PhysicalParams:
         return self.kappa_1
 
     def replace(self, **changes) -> "PhysicalParams":
-        # what dataclasses.replace does, without its per-field bookkeeping
-        return type(self)(**{**self.__dict__, **changes})
+        """A copy with some fields changed, as dataclasses.replace gives it.
+
+        Only the changed fields are checked, by the constructor's own
+        _check_fields, so each is stored or refused as the constructor
+        would store or refuse it; an unknown name raises the constructor's
+        TypeError.
+        """
+        if not _FIELD_SET.issuperset(changes):
+            return type(self)(**{**self.__dict__, **changes})
+        new = object.__new__(type(self))
+        fields = new.__dict__
+        fields.update(self.__dict__)
+        fields.update(changes)
+        if len(changes) > 1:  # in declaration order, as the constructor meets them
+            changes = [name for name in _FIELD_NAMES if name in changes]
+        _check_fields(fields, changes)
+        return new
 
     def swapped(self) -> "PhysicalParams":
         """Same configuration with the two cavity labels exchanged."""
@@ -97,6 +98,37 @@ class PhysicalParams:
 
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(PhysicalParams))
+_FIELD_SET = frozenset(_FIELD_NAMES)
+_POSITIVE = ("kappa_1", "kappa_2", "kappa_m", "omega_m")
+_NON_NEGATIVE = ("gamma_1", "gamma_2", "r", "temperature")
+
+
+def _check_fields(fields: dict, names) -> None:
+    """Check the named entries of a PhysicalParams' __dict__, in place.
+
+    names holds field names in declaration order. Each must be a finite
+    real number, and is stored as a float; then the decay rates and omega_m
+    must be positive, and the couplings, r and the temperature
+    non-negative. The first field to fail raises DomainError. Each pass
+    takes the named fields in the constructor's order, so changing some
+    fields of a valid instance meets the refusal that building the
+    instance with them meets.
+    """
+    for name in names:
+        x = fields[name]
+        if type(x) is float and math.isfinite(x):
+            continue
+        value = finite_float(x)
+        if value is None:
+            raise DomainError(f"{name} must be a finite real number, got {x!r}")
+        # a Fraction or an integer would reach numpy as an object or int
+        fields[name] = value
+    for name in _POSITIVE:
+        if name in names and not fields[name] > 0.0:
+            raise DomainError(f"{name} must be positive, got {fields[name]}")
+    for name in _NON_NEGATIVE:
+        if name in names and fields[name] < 0.0:
+            raise DomainError(f"{name} must be non-negative, got {fields[name]}")
 
 
 def finite_float(x) -> float | None:
@@ -183,14 +215,15 @@ def drift_matrix(p: PhysicalParams) -> np.ndarray:
     and the couplings exchange excitations between the magnon and each cavity.
     """
     g1, g2 = p.gamma_1, p.gamma_2
+    # one flat list: numpy converts it faster than six nested rows
     return np.array([
-        [-p.kappa_m, p.delta_m, 0.0, g1, 0.0, g2],
-        [-p.delta_m, -p.kappa_m, -g1, 0.0, -g2, 0.0],
-        [0.0, g1, -p.kappa_1, p.delta_1, 0.0, 0.0],
-        [-g1, 0.0, -p.delta_1, -p.kappa_1, 0.0, 0.0],
-        [0.0, g2, 0.0, 0.0, -p.kappa_2, p.delta_2],
-        [-g2, 0.0, 0.0, 0.0, -p.delta_2, -p.kappa_2],
-    ])
+        -p.kappa_m, p.delta_m, 0.0, g1, 0.0, g2,
+        -p.delta_m, -p.kappa_m, -g1, 0.0, -g2, 0.0,
+        0.0, g1, -p.kappa_1, p.delta_1, 0.0, 0.0,
+        -g1, 0.0, -p.delta_1, -p.kappa_1, 0.0, 0.0,
+        0.0, g2, 0.0, 0.0, -p.kappa_2, p.delta_2,
+        -g2, 0.0, 0.0, 0.0, -p.delta_2, -p.kappa_2,
+    ]).reshape(6, 6)
 
 
 def diffusion_matrix(p: PhysicalParams) -> np.ndarray:

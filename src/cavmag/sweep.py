@@ -212,11 +212,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     evaluated in turn or by a pool of at most one worker per chunk
     (workers is an integer >= 1, checked before any point is evaluated);
     progress(done, total) is called after each chunk. Each chunk's points
-    go to one full_report call with the spec's quantities, which evaluates
-    them as one stack grouped by drift matrix, and skips the spectra of the
-    one-vs-two partial transposes unless a quantity reads them (the seven
-    measures.ONE_VS_TWO_COLUMNS: the one-vs-two negativities and the
-    residual contangles, on fig5a-d). The points of a chunk that share a
+    are built with apply_axis_value, which checks only the field an axis
+    sets, and go to one full_report call with the spec's quantities. It
+    evaluates them as one stack grouped by drift matrix, and skips each
+    optional stage that no quantity reads: the spectra of the one-vs-two
+    partial transposes (the seven measures.ONE_VS_TWO_COLUMNS, the
+    one-vs-two negativities and the residual contangles, read on fig5a-d)
+    and the steering quotients (the nine measures.STEERING_COLUMNS, read
+    on fig6a-c, fig7a and fig7b). The points of a chunk that share a
     drift, consecutive or not (as on the r x gamma_ratio maps), share its
     eigen-solve and Lyapunov operator, and the rows stay in row-major order. Nothing is
     kept between chunks, so a drift is solved once per chunk it appears

@@ -173,7 +173,7 @@ COLUMN_ORACLE_POINTS = {
 # the eigenvalue reference it is tested against, which must read none of them.
 KERNEL_NAMES = {
     "_measures", "_row", "_quotient", "_SPECTRUM_MASKS", "_SPECTRUM_FORMS", "_PAIR_INDEX",
-    "_PAIR_TWIST", "_HOLDING_PAIRS", "_LOG_SCALES",
+    "_PAIR_TWIST", "_HOLDING_PAIRS", "_LOG_SCALES", "_STAGE_COLUMNS",
 }
 # Module-level names of measures.py that the kernel shares with the reference.
 SHARED_NAMES = {"_PAIRS", "_EPS", "PHYSICALITY_ATOL", "_require_heisenberg", "_clamp_residual"}
@@ -553,21 +553,41 @@ class TestFullReport:
         assert flat["e_n_mc_max"] == max(flat["e_n_mc1"], flat["e_n_mc2"])
 
     def test_views_read_their_columns_at_golden_points(self):
+        # a report without a stage raises KeyError on the views of its
+        # columns and reads every other view as the full report does
         with open(GOLDEN_REPORT, encoding="utf-8") as handle:
             points = json.load(handle)["points"]
         for entry in points:
             if entry.get("forced_unstable"):
                 continue
-            rep = full_report(PhysicalParams(**entry["params"]))
-            flat = rep.as_dict()
-            for view, columns in VIEW_COLUMNS.items():
-                grouped = getattr(rep, view)
-                assert list(grouped) == list(columns), view
-                for key, column in columns.items():
-                    assert grouped[key] == flat[column], (entry["label"], view, key)
-            assert rep.r_tau_min == flat["r_tau_min"]
-            assert rep.nu_min == flat["nu_min"]
-            assert rep.stability.max_real_part == flat["lambda_max"]
+            p = PhysicalParams(**entry["params"])
+            full = full_report(p).as_dict()
+            for quantities in (measures.REPORT_COLUMNS, ("e_n_c1c2",), ("zeta_c1_c2",),
+                               ("r_tau_min",)):
+                rep = full_report(p, quantities=quantities)
+                flat = rep.as_dict()
+                for view, columns in VIEW_COLUMNS.items():
+                    if not set(columns.values()) <= set(flat):
+                        with pytest.raises(KeyError):
+                            getattr(rep, view)
+                        continue
+                    grouped = getattr(rep, view)
+                    assert list(grouped) == list(columns), view
+                    for key, column in columns.items():
+                        assert grouped[key] == flat[column] == full[column], (
+                            entry["label"], view, key
+                        )
+                if "r_tau_min" in flat:
+                    assert rep.r_tau_min == flat["r_tau_min"]
+                else:
+                    with pytest.raises(KeyError):
+                        rep.r_tau_min
+                assert rep.nu_min == flat["nu_min"] == full["nu_min"]
+                assert rep.stability.max_real_part == flat["lambda_max"]
+            pair_only = full_report(p, quantities=("e_n_c1c2",))
+            for view in ("steering", "asymmetry", "e_n_one_vs_two", "residuals"):
+                with pytest.raises(KeyError):
+                    getattr(pair_only, view)
 
 
 class TestBatchedReport:
@@ -962,10 +982,11 @@ class TestStackedReport:
 
     def test_pair_quantities_skip_the_one_vs_two_stage_bit_for_bit(self):
         # point_inputs-style draws (detunings in kappa_c), then r from 5 to
-        # 30 at 0 and 2 K, where the conditioning refusal fires from r = 5.56:
-        # without the one-vs-two spectra each point is refused as the full
-        # evaluation refuses it, or holds the full report's bits less the
-        # seven columns that read those spectra
+        # 30 at 0 and 2 K, where the conditioning refusal fires from r = 5.56,
+        # then hot baths and extreme kappa_2 / kappa_1 at r = 0.4: for each
+        # set of quantities, each point is refused as the full evaluation
+        # refuses it, or holds the full report's bits in the columns of the
+        # stages that the set reads
         base = default_params()
         kc = base.kappa_c
         draws = np.random.default_rng(24).uniform(
@@ -981,30 +1002,62 @@ class TestStackedReport:
             base.replace(r=r, temperature=t) for r in np.linspace(5.0, 30.0, 51).tolist()
             for t in (0.0, 2.0)
         ]
-        pair_columns = [c for c in measures.REPORT_COLUMNS if c not in measures.ONE_VS_TWO_COLUMNS]
+        edges = [base.replace(r=0.4, temperature=t) for t in (10.0, 100.0, 1000.0)]
+        edges += [
+            base.replace(r=0.4, temperature=t, kappa_2=ratio * base.kappa_1)
+            for t in (0.02, 10.0, 100.0, 1000.0) for ratio in (1e-6, 1e-3, 1e3, 1e6)
+        ]
+        without = {
+            ("e_n_c1c2",): measures.ONE_VS_TWO_COLUMNS | measures.STEERING_COLUMNS,
+            ("zeta_c1_c2",): measures.ONE_VS_TWO_COLUMNS,
+            ("r_tau_min",): measures.STEERING_COLUMNS,
+            measures.REPORT_COLUMNS: frozenset(),
+        }
         outcomes = collections.Counter()
-        for p in points:
+        for i, p in enumerate(points + edges):
+            edge = i >= len(points)
             try:
                 full = full_report(p).values
             except CavmagError as exc:
-                with pytest.raises(CavmagError) as skipped:
-                    full_report(p, quantities=("e_n_c1c2",))
-                assert type(skipped.value) is type(exc), p
-                assert str(skipped.value) == str(exc)
-                outcomes[type(exc).__name__] += 1
+                for quantities in without:
+                    with pytest.raises(CavmagError) as skipped:
+                        full_report(p, quantities=quantities)
+                    assert type(skipped.value) is type(exc), (p, quantities)
+                    assert str(skipped.value) == str(exc)
+                outcomes[edge, type(exc).__name__] += 1
                 continue
-            skipped = full_report(p, quantities=("e_n_c1c2",)).values
-            assert list(skipped) == pair_columns
-            assert [skipped[c].hex() for c in pair_columns] == [full[c].hex() for c in pair_columns]
-            outcomes["accepted"] += 1
-        assert outcomes == {"accepted": 304, "NumericalError": 98}
+            for quantities, skipped_columns in without.items():
+                columns = [c for c in measures.REPORT_COLUMNS if c not in skipped_columns]
+                values = full_report(p, quantities=quantities).values
+                assert list(values) == columns, quantities
+                assert [values[c].hex() for c in columns] == [full[c].hex() for c in columns], (
+                    p, quantities
+                )
+            outcomes[edge, "accepted"] += 1
+        assert outcomes == {
+            (False, "accepted"): 304, (False, "NumericalError"): 98, (True, "accepted"): 19,
+        }
 
     def test_quantities_are_report_columns(self):
+        # the pair negativities, nu_min and lambda_max are in every report;
+        # each optional stage adds its columns when a quantity reads one
         p = default_params()
-        assert len(full_report(p, quantities=()).values) == len(measures.REPORT_COLUMNS) - 7
-        assert list(full_report(p, quantities=("r_tau_min",)).values) == list(
+        always = ["e_n_c1c2", "e_n_mc1", "e_n_mc2", "e_n_mc_max", "nu_min", "lambda_max"]
+        assert list(full_report(p, quantities=()).values) == always
+        assert list(full_report(p, quantities=("e_n_mc2", "nu_min")).values) == always
+        assert list(full_report(p, quantities=("r_tau_min",)).values) == [
+            c for c in measures.REPORT_COLUMNS if c not in measures.STEERING_COLUMNS
+        ]
+        assert list(full_report(p, quantities=("zeta_s_mc1",)).values) == [
+            c for c in measures.REPORT_COLUMNS if c not in measures.ONE_VS_TWO_COLUMNS
+        ]
+        assert list(full_report(p, quantities=("r_tau_c1", "zeta_m_c2")).values) == list(
             measures.REPORT_COLUMNS
         )
+        assert measures.ONE_VS_TWO_COLUMNS == set(measures.REPORT_COLUMNS[4:11])
+        assert measures.STEERING_COLUMNS == {
+            c for c in measures.REPORT_COLUMNS if c.startswith("zeta_")
+        }
         for quantities in (("e_n_c1c2", "nope"), "e_n_c1c2", (["r"],)):
             with pytest.raises(DomainError, match="^unknown quantities in "):
                 full_report(p, quantities=quantities)

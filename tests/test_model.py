@@ -1,3 +1,5 @@
+import ast
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -5,10 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cavmag.model as model
 from cavmag.errors import DomainError
 from cavmag.measures import full_report, symplectic_form
 from cavmag.model import (
     TWO_PI,
+    PhysicalParams,
     default_params,
     diffusion_matrix,
     drift_matrix,
@@ -133,6 +137,57 @@ class TestPhysicalParams:
     def test_swapped_roundtrip(self, rng):
         p = random_params(rng)
         assert p.swapped().swapped() == p
+
+    def test_replace_stores_and_refuses_as_the_constructor(self, rng):
+        # every field against a table of values: replace, which checks only
+        # the fields it changes, stores the constructor's bits or raises its
+        # type and message; two changed fields in either keyword order meet
+        # the constructor's first refusal
+        values = (
+            0.4, 7.5e6, 5e-324, 1.7e308, 1, 0, 3, -2, 0.0, -0.0, -1.0, -1e-300,
+            Fraction(2, 5), Fraction(-1, 3), np.float64(0.4), np.float64(-0.0), np.float32(0.1),
+            np.int64(2), True, False, math.nan, -math.nan, math.inf, -math.inf, "0.4", "",
+            None, 1 + 1j, 10**400, -(10**400), Fraction(10**400, 3),
+        )
+
+        def outcome(make):
+            try:
+                p = make()
+            except Exception as exc:  # the outcome compared is the exception itself
+                return type(exc), str(exc)
+            return [(type(x), x.hex()) for x in p.__dict__.values()]
+
+        names = model._FIELD_NAMES
+        for base in (default_params(), random_params(rng).replace(delta_1=-0.0)):
+            kept = outcome(lambda: base)
+            for name, x in itertools.product(names, values):
+                expected = outcome(lambda: PhysicalParams(**{**base.__dict__, name: x}))
+                assert outcome(lambda: base.replace(**{name: x})) == expected, (name, x)
+            for (a, b), x, y in itertools.product(
+                itertools.permutations(names, 2), (math.nan, -1.0, 0.0), (math.inf, -2.0, 0.5)
+            ):
+                expected = outcome(lambda: PhysicalParams(**{**base.__dict__, a: x, b: y}))
+                assert outcome(lambda: base.replace(**{a: x, b: y})) == expected, (a, x, b, y)
+            for changes in ({"nope": 1.0}, {"r": math.nan, "nope": 1.0}):
+                with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
+                    base.replace(**changes)
+            assert outcome(lambda: base) == kept
+
+    def test_constructor_and_replace_share_one_field_check(self):
+        # both go through _check_fields and hold no refusal of their own, so
+        # what one accepts or refuses the other cannot drift from
+        with open(model.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PhysicalParams"]
+        methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+        for name in ("__post_init__", "replace"):
+            nodes = list(ast.walk(methods[name]))
+            called = {
+                n.func.id for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            }
+            assert "_check_fields" in called, name
+            assert not any(isinstance(n, ast.Raise) for n in nodes), name
+            assert "DomainError" not in {n.id for n in nodes if isinstance(n, ast.Name)}, name
 
 
 class TestDriftMatrix:

@@ -379,9 +379,9 @@ class TestRunSweep:
         sizes = []
         real_reports = measures._reports
 
-        def recorded(points, one_vs_two):
+        def recorded(points, stages):
             sizes.append(len(points))
-            return real_reports(points, one_vs_two)
+            return real_reports(points, stages)
 
         monkeypatch.setattr(measures, "_reports", recorded)
         base = default_params().replace(r=9.0, temperature=2.0)
