@@ -69,19 +69,17 @@ class PhysicalParams:
     def replace(self, **changes) -> "PhysicalParams":
         """A copy with some fields changed, as dataclasses.replace gives it.
 
-        Only the changed fields are checked, by the constructor's own
-        _check_fields, so each is stored or refused as the constructor
-        would store or refuse it; an unknown name raises the constructor's
-        TypeError.
+        A change to one field, the only change a grid axis makes, copies the
+        fields and checks that one by the constructor's own _check_fields,
+        so it is stored or refused as the constructor would store or refuse
+        it; any other change calls the constructor on all the fields.
         """
-        if not _FIELD_SET.issuperset(changes):
+        if len(changes) != 1 or not _FIELD_SET.issuperset(changes):
             return type(self)(**{**self.__dict__, **changes})
         new = object.__new__(type(self))
         fields = new.__dict__
         fields.update(self.__dict__)
         fields.update(changes)
-        if len(changes) > 1:  # in declaration order, as the constructor meets them
-            changes = [name for name in _FIELD_NAMES if name in changes]
         _check_fields(fields, changes)
         return new
 
@@ -106,13 +104,13 @@ _NON_NEGATIVE = ("gamma_1", "gamma_2", "r", "temperature")
 def _check_fields(fields: dict, names) -> None:
     """Check the named entries of a PhysicalParams' __dict__, in place.
 
-    names holds field names in declaration order. Each must be a finite
-    real number, and is stored as a float; then the decay rates and omega_m
-    must be positive, and the couplings, r and the temperature
+    names holds every field in declaration order, or one field. Each must
+    be a finite real number, and is stored as a float; then the decay rates
+    and omega_m must be positive, and the couplings, r and the temperature
     non-negative. The first field to fail raises DomainError. Each pass
-    takes the named fields in the constructor's order, so changing some
-    fields of a valid instance meets the refusal that building the
-    instance with them meets.
+    takes the named fields in the constructor's order, so changing one
+    field of a valid instance meets the refusal that building the instance
+    with it meets.
     """
     for name in names:
         x = fields[name]
@@ -177,7 +175,12 @@ class NoiseMoments:
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:
-    """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1), exact 0 at T = 0."""
+    """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1), exact 0 at T = 0.
+
+    It is inf where hbar w / kB T rounds to 0 at T > 0 (omega below about
+    2e-290 rad/s, where hbar w underflows, or T = inf), as noise_moments'
+    squeezed moments are where sinh overflows.
+    """
     if omega <= 0.0:
         raise DomainError(f"omega must be positive, got {omega}")
     if temperature < 0.0:
@@ -187,6 +190,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     x = HBAR * omega / (K_B * temperature)
     if x > 700.0:  # exp would overflow; occupation is numerically zero
         return 0.0
+    if x == 0.0:  # hbar w underflows against k_B T: the occupation overflows
+        return math.inf
     return 1.0 / math.expm1(x)
 
 

@@ -9,6 +9,7 @@ byte-identical regardless of the worker count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -153,53 +154,46 @@ def apply_axis_value(base: PhysicalParams, parameter: str, value: float) -> Phys
     return base.replace(**{field: value if scale is None else value * getattr(base, scale)})
 
 
-def _grid_point(spec: SweepSpec, axis_values, flat_index: int) -> tuple:
-    """The grid indices and the axis values of a flat index."""
-    # row-major: the last axis varies fastest
-    coords = divmod(flat_index, spec.axes[1].count) if len(spec.axes) == 2 else (flat_index,)
-    return coords, [grid[i] for grid, i in zip(axis_values, coords)]
-
-
-def _rows(spec: SweepSpec, axis_values, indices) -> list:
-    """The output rows of some flat indices; axis_values holds each axis's
-    grid values as floats."""
-    values = [_grid_point(spec, axis_values, i)[1] for i in indices]
-    points = []
-    for point in values:
-        params = spec.base
+def _rows(spec: SweepSpec, points) -> list:
+    """The output rows of some grid points, each a tuple of axis values."""
+    params = []
+    for point in points:
+        p = spec.base
         for ax, value in zip(spec.axes, point):
-            params = apply_axis_value(params, ax.parameter, value)
-        points.append(params)
+            p = apply_axis_value(p, ax.parameter, value)
+        params.append(p)
     if spec.quantities == ("lambda_max",):
         # a stability map needs the drift spectrum only, no steady state
-        stabs = [steady_state.stability(model.drift_matrix(p)) for p in points]
-        return [point + [stab.max_real_part, stab.stable] for point, stab in zip(values, stabs)]
-    reports = [report.as_dict() for report in full_report(points, quantities=spec.quantities)]
+        stabs = [steady_state.stability(model.drift_matrix(p)) for p in params]
+        return [[*point, stab.max_real_part, stab.stable] for point, stab in zip(points, stabs)]
+    reports = [report.as_dict() for report in full_report(params, quantities=spec.quantities)]
     return [
-        point + [report[q] for q in spec.quantities] + [report["stable"]]
-        for point, report in zip(values, reports)
+        [*point, *(report[q] for q in spec.quantities), report["stable"]]
+        for point, report in zip(points, reports)
     ]
 
 
 def _evaluate_range(args) -> list:
-    """The rows of one chunk, its reports from one full_report call.
+    """The rows of one chunk: its grid points, the first at flat index start,
+    evaluated by one full_report call.
 
     A chunk that raises a CavmagError is evaluated again one point at a
     time, so the first failing point in row-major order raises, with its
     flat index, grid indices and axis values.
     """
-    spec, axis_values, lo, hi = args
+    spec, points, start = args
     try:
-        return _rows(spec, axis_values, range(lo, hi))
+        return _rows(spec, points)
     except CavmagError:
         pass
     rows = []
-    for flat_index in range(lo, hi):
+    for flat_index, point in enumerate(points, start):
         try:
-            rows += _rows(spec, axis_values, [flat_index])
+            rows += _rows(spec, [point])
         except CavmagError as exc:
-            coords, values = _grid_point(spec, axis_values, flat_index)
-            where = ", ".join(f"{ax.parameter} = {v!r}" for ax, v in zip(spec.axes, values))
+            # row-major: the last axis varies fastest
+            coords = divmod(flat_index, spec.axes[1].count) if len(spec.axes) == 2 else (flat_index,)
+            where = ", ".join(f"{ax.parameter} = {v!r}" for ax, v in zip(spec.axes, point))
             raise type(exc)(f"{exc} [at grid point {flat_index}, indices {coords}: {where}]") from exc
     return rows
 
@@ -207,43 +201,35 @@ def _evaluate_range(args) -> list:
 def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     """Evaluate the sweep grid, optionally across worker processes.
 
-    The grid is split into row-major chunks, at most 8 per worker and at
-    least 8 points each (one chunk on a grid of fewer than 16 points),
-    evaluated in turn or by a pool of at most one worker per chunk
-    (workers is an integer >= 1, checked before any point is evaluated);
-    progress(done, total) is called after each chunk. Each chunk's points
-    are built with apply_axis_value, which checks only the field an axis
-    sets, and go to one full_report call with the spec's quantities. It
-    evaluates them as one stack grouped by drift matrix, and skips each
-    optional stage that no quantity reads: the spectra of the one-vs-two
-    partial transposes (the seven measures.ONE_VS_TWO_COLUMNS, the
-    one-vs-two negativities and the residual contangles, read on fig5a-d)
-    and the steering quotients (the nine measures.STEERING_COLUMNS, read
-    on fig6a-c, fig7a and fig7b). The points of a chunk that share a
-    drift, consecutive or not (as on the r x gamma_ratio maps), share its
-    eigen-solve and Lyapunov operator, and the rows stay in row-major order. Nothing is
-    kept between chunks, so a drift is solved once per chunk it appears
-    in. A CavmagError at a point, a drift that is not Hurwitz stable
-    included, aborts the sweep: the failing chunk is evaluated again one
-    point at a time, and the first failing point in row-major order is
-    re-raised with its type and its flat index, grid indices and axis
-    values. Any failure in a pool cancels the chunks not yet started and
-    is raised once the running ones end. A sweep of lambda_max alone
-    evaluates only the drift spectrum and reports the stable flag it
-    computes. The result is independent of the worker count.
-    Starting and stopping the pool costs 20 to 30 ms on a 2-vCPU host, so
-    2 workers pay on a 101x101 figure grid but not on a grid of a few dozen
-    points.
+    The grid points are built once, row-major (first axis outermost), and
+    split into chunks, at most 8 per worker and at least 8 points each (one
+    chunk on a grid of fewer than 16 points), evaluated in turn or by a pool
+    of at most one worker per chunk (workers is an integer >= 1, checked
+    before any point is evaluated); progress(done, total) is called after
+    each chunk. A chunk builds its points' parameters with apply_axis_value
+    and passes them to one full_report call with the spec's quantities,
+    which decide the stages it runs (see full_report). Nothing is kept
+    between chunks, and the rows stay in row-major order. A CavmagError at a
+    point, a drift that is not Hurwitz stable included, aborts the sweep:
+    the failing chunk is evaluated again one point at a time, and the first
+    failing point in row-major order is re-raised with its type and its
+    flat index, grid indices and axis values. Any failure in a pool cancels
+    the chunks not yet started and is raised once the running ones end. A
+    sweep of lambda_max alone evaluates only the drift spectrum and reports
+    the stable flag it computes. The result is independent of the worker
+    count. Starting and stopping the pool costs 20 to 30 ms on a 2-vCPU
+    host, so 2 workers pay on a 101x101 figure grid but not on a grid of a
+    few dozen points.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
         raise ValidationError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     total = spec.size
-    axis_values = [ax.values().tolist() for ax in spec.axes]
+    grid = list(itertools.product(*(ax.values().tolist() for ax in spec.axes)))
     n_chunks = max(1, min(workers * 8, total // 8))
     bounds = [total * k // n_chunks for k in range(n_chunks + 1)]
-    tasks = [(spec, axis_values, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    tasks = [(spec, grid[lo:hi], lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
     # a fork-started pool starts all of its processes at the first submit
     workers = min(workers, len(tasks))
     rows = []

@@ -258,11 +258,16 @@ class TestPointCommand:
         assert len(proc.stderr.splitlines()) == 1
         assert "ill-conditioned" in proc.stderr and "at parameter point" in proc.stderr
 
-    @pytest.mark.parametrize("r", ["711", "1000"])
-    def test_squeezing_beyond_the_float_range_exits_1(self, r):
+    @pytest.mark.parametrize("flag", [
+        pytest.param(("--r", "711"), id="711"),
+        pytest.param(("--r", "1000"), id="1000"),
+        pytest.param(("--omega-m", "1e-300"), id="omega-m-1e-300"),
+    ])
+    def test_squeezing_beyond_the_float_range_exits_1(self, flag):
         # math.sinh overflows from r = 710.48, which once ended in an
-        # OverflowError traceback
-        proc = run_python("-m", "cavmag.cli", "point", "--r", r)
+        # OverflowError traceback; a tiny omega_m once ended in a
+        # ZeroDivisionError traceback
+        proc = run_python("-m", "cavmag.cli", "point", *flag)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: d contains non-finite entries [at parameter point ")

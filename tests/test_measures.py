@@ -520,14 +520,20 @@ class TestFullReport:
         with pytest.raises(NumericalError, match=rf"ill-conditioned.*at parameter point.*r={r}"):
             full_report(default_params().replace(r=r))
 
-    @pytest.mark.parametrize("r", [711.0, 1000.0])
-    def test_squeezing_beyond_the_float_range_is_refused(self, r):
+    @pytest.mark.parametrize("change", [
+        pytest.param(dict(r=711.0), id="711.0"),
+        pytest.param(dict(r=1000.0), id="1000.0"),
+        pytest.param(dict(omega_m=1e-300), id="omega_m=1e-300"),
+    ])
+    def test_squeezing_beyond_the_float_range_is_refused(self, change):
         # from r = 710.48 math.sinh overflows, which once escaped as a bare
         # OverflowError; the infinite moments meet the refusal of D that
-        # r from 355 on already reached through a float product
+        # r from 355 on already reached through a float product. At a tiny
+        # omega_m the thermal occupation is inf, where it once raised a bare
+        # ZeroDivisionError
         with pytest.raises(DomainError) as info:
-            full_report(default_params().replace(r=r))
-        point = default_params().replace(r=r)
+            full_report(default_params().replace(**change))
+        point = default_params().replace(**change)
         assert str(info.value) == f"d contains non-finite entries [at parameter point {point}]"
 
     @pytest.mark.parametrize(
@@ -1075,6 +1081,61 @@ class TestStackedReport:
         monkeypatch.setattr(np.linalg, "det", det_of_one)
         got = full_report(points)
         assert [report_bits(r) for r in got] == [report_bits(r) for r in expected]
+
+
+def columns_or_refusal(p):
+    """The report's columns at p, or the type of its refusal."""
+    try:
+        return full_report(p).values
+    except CavmagError as exc:
+        return type(exc)
+
+
+class TestInvariances:
+    """Two exact symmetries of the model; rates and detunings in kappa_c."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(**STRESS_BOX)
+    def test_negated_detunings_keep_every_measure(self, **point):
+        # T M(delta) T = M(-delta) and T D T = D for T = diag(-1, 1, 1, -1, 1, -1),
+        # a time reversal times a pi rotation of the magnon, so the LU of the
+        # sign-scaled operator makes the same pivots and V(-delta) = T V T bit
+        # for bit. Every measure is invariant under T, but the general
+        # eigen-solver of the symplectic spectra is not sign-equivariant: 2 of
+        # these 200 draws moved a column by up to 7.8e-16, and the other 198
+        # kept the bits of every column but lambda_max
+        p = stress_params(**point)
+        negated = p.replace(delta_1=-p.delta_1, delta_2=-p.delta_2, delta_m=-p.delta_m)
+        t = np.diag([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0])
+        assert np.array_equal(t @ drift_matrix(p) @ t, drift_matrix(negated))
+        v, _ = solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
+        v_negated, _ = solve_lyapunov(drift_matrix(negated), diffusion_matrix(negated))
+        assert np.array_equal(t @ v @ t, v_negated)
+        rep, rep_negated = columns_or_refusal(p), columns_or_refusal(negated)
+        if isinstance(rep, type):
+            assert rep_negated is rep
+            return
+        for column, x in rep.items():
+            # lambda_max within the eigen-solver's rounding, as in TestStressDomain
+            bound = 1e-12 * (drift_norm(p) if column == "lambda_max" else max(1.0, abs(x)))
+            assert abs(rep_negated[column] - x) <= bound, column
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(**STRESS_BOX)
+    def test_doubled_rates_keep_every_measure(self, **point):
+        # M and D both double, so V keeps its bits and the drift spectrum
+        # doubles exactly: nothing may depend on a rate's absolute size
+        p = stress_params(**point)
+        rates = ("kappa_1", "kappa_2", "kappa_m", "gamma_1", "gamma_2",
+                 "delta_1", "delta_2", "delta_m")
+        rep = columns_or_refusal(p)
+        doubled = columns_or_refusal(p.replace(**{name: 2.0 * getattr(p, name) for name in rates}))
+        if isinstance(rep, type):
+            assert doubled is rep
+            return
+        for column, x in rep.items():
+            expected = 2.0 * x if column == "lambda_max" else x
+            assert doubled[column].hex() == expected.hex(), column
 
 
 class TestStressDomain:

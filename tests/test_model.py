@@ -51,6 +51,14 @@ class TestNoiseMoments:
         mom = noise_moments(r, TWO_PI * 1e10, 0.0)
         assert (mom.big_n, mom.big_m) == (math.inf, math.inf)
 
+    @pytest.mark.parametrize("omega, temperature", [(1e-300, 0.02), (1.0, math.inf)])
+    def test_occupation_beyond_the_float_range_is_infinite(self, omega, temperature):
+        # hbar w / k_B T rounds to 0, where 1/expm1 once raised a bare
+        # ZeroDivisionError; the occupation is inf, as the moments above
+        assert thermal_occupation(omega, temperature) == math.inf
+        assert noise_moments(0.4, omega, temperature).n_m == math.inf
+        assert thermal_occupation(omega, 0.0) == 0.0
+
     def test_thermal_occupation_reference_value(self):
         # Bose factor at 10 GHz and 20 mK with CODATA hbar and k_B
         n_m = thermal_occupation(TWO_PI * 1e10, 0.02)

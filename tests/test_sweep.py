@@ -399,6 +399,14 @@ class TestRunSweep:
         message = str(info.value)
         assert message.startswith("d contains non-finite entries [at parameter point ")
         assert message.endswith("[at grid point 1, indices (1,): r = 1000.0]")
+        # at a tiny omega_m the thermal occupation is inf at every point,
+        # where it once raised a bare ZeroDivisionError
+        spec = small_spec(base=default_params().replace(omega_m=1e-300))
+        with pytest.raises(DomainError) as info:
+            run_sweep(spec)
+        message = str(info.value)
+        assert message.startswith("d contains non-finite entries [at parameter point ")
+        assert message.endswith("[at grid point 0, indices (0,): r = 0.0]")
 
     def test_lapack_calls_per_chunk(self, monkeypatch):
         # a serial 5x5 sweep runs 3 chunks (8, 8 and 9 points), one call of
