@@ -468,8 +468,9 @@ def full_report(
     time. A CavmagError names its parameter point. A stack of several
     points runs stage by stage over its drift groups, so when it fails (a
     CavmagError, or a LinAlgError from a stacked LAPACK call) it is
-    evaluated again one point at a time: the first failing point raises the
-    error it raises on its own, and a sequence of one is evaluated once.
+    evaluated again as full_report of each point in turn: the first failing
+    point raises the error it raises on its own, and so is evaluated twice.
+    A sequence of one is evaluated once, as full_report of its point.
 
     quantities names the columns the caller reads (every one of
     REPORT_COLUMNS by default); a name outside them raises DomainError.
@@ -495,23 +496,17 @@ def full_report(
         not STEERING_COLUMNS.isdisjoint(quantities),
     )
     if isinstance(points, PhysicalParams):
-        return _report(points, stages)
+        try:
+            return _reports([points], stages)[0]
+        except CavmagError as exc:
+            raise type(exc)(f"{exc} [at parameter point {points}]") from exc
     points = list(points)
     if len(points) > 1:
         try:
             return _reports(points, stages)
         except (CavmagError, np.linalg.LinAlgError):
             pass  # evaluated again below, one point at a time
-    return [_report(p, stages) for p in points]
-
-
-def _report(p: PhysicalParams, stages: tuple) -> CorrelationReport:
-    """One point's report, a stack of one; a CavmagError names the point."""
-    try:
-        [report] = _reports([p], stages)
-    except CavmagError as exc:
-        raise type(exc)(f"{exc} [at parameter point {p}]") from exc
-    return report
+    return [full_report(p, quantities=quantities) for p in points]
 
 
 def _reports(points: list, stages: tuple) -> list:

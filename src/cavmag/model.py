@@ -181,9 +181,9 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     2e-290 rad/s, where hbar w underflows, or T = inf), as noise_moments'
     squeezed moments are where sinh overflows.
     """
-    if omega <= 0.0:
+    if not omega > 0.0:  # nan fails every comparison
         raise DomainError(f"omega must be positive, got {omega}")
-    if temperature < 0.0:
+    if not temperature >= 0.0:
         raise DomainError(f"temperature must be non-negative, got {temperature}")
     if K_B * temperature == 0.0:  # T = 0, or a T so small that k_B T underflows
         return 0.0
@@ -202,7 +202,7 @@ def noise_moments(r: float, omega_m: float, temperature: float) -> NoiseMoments:
     big_m^2 = big_n (big_n + 1) holds identically. Both are inf from
     r = 355 on (and math.sinh itself overflows from r = 710.48).
     """
-    if r < 0.0:
+    if not r >= 0.0:
         raise DomainError(f"r must be non-negative, got {r}")
     try:
         s, c = math.sinh(r), math.cosh(r)

@@ -521,6 +521,28 @@ def test_grid_commands_share_their_stderr_tail(capsys, tmp_path, command, label)
     assert lines[-1] == f"{label}: wrote 5 rows to {out_path}"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("point", "--kappa-m", "1e300"), 0),
+    # both drifts are passive; the 2 is the sign of a lambda_max below the
+    # eigen-solver's rounding (0.0 and 1.7e284)
+    (("point", "--gamma-1", "1e300"), 2),
+    (("point", "--kappa-1", "1e300"), 2),
+    (("point", "--omega-m", "1e300"), 0),
+    (("point", "--temperature", "1e300"), 1),
+    (("point", "--r", "354"), 1),
+    (("point", "--kappa-1", "1e-310:rad"), 0),
+    (("point", "--kappa-m", "1e-320:rad"), 0),
+    # the window's width overflows; it was once let through to nan grid
+    # values and a numpy RuntimeWarning
+    (("stability", "--grid", "3x3", "--window=-1e308:1e308"), 1),
+])
+def test_extreme_inputs_end_in_an_exit_code(capsys, tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)  # a grid command writes to the working directory
+    code, _, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+
+
 TOP_USAGE = "usage: cavmag [-h] {point,sweep,figure,stability} ...\n"
 PARAM_USAGE = """\
 [-h] [--config CONFIG] [--kappa-1 VALUE[:unit]]

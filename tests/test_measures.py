@@ -1143,6 +1143,17 @@ class TestStressDomain:
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(**STRESS_BOX)
+    def test_drift_is_passive(self, **point):
+        # the couplings and detunings cancel exactly in M + M^T, which holds
+        # the decay rates alone: every drift is Hurwitz stable with
+        # Re lambda <= -min kappa, the bound the stability checks rest on
+        p = stress_params(**point)
+        m = drift_matrix(p)
+        kappas = [p.kappa_m, p.kappa_m, p.kappa_1, p.kappa_1, p.kappa_2, p.kappa_2]
+        assert np.array_equal(m + m.T, -2.0 * np.diag(kappas))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(**STRESS_BOX)
     # equal decay rates and no detuning: passivity holds with equality, and
     # the computed lambda_max sits 7.5e-9 rad/s right of -kappa_c
     @example(kappa_2=1.0, kappa_m=1.0, gamma_1=1.0, gamma_2=1.0,

@@ -90,12 +90,21 @@ class TestNoiseMoments:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            noise_moments(-0.1, TWO_PI * 1e10, 0.0)
-        with pytest.raises(DomainError):
-            thermal_occupation(-1.0, 0.1)
-        with pytest.raises(DomainError):
-            thermal_occupation(TWO_PI * 1e10, -0.1)
+        # nan fails every comparison, so it once passed all three checks and
+        # came back as a nan occupation or nan moments
+        cases = [
+            (noise_moments, (-0.1, TWO_PI * 1e10, 0.0), "r must be non-negative, got -0.1"),
+            (thermal_occupation, (-1.0, 0.1), "omega must be positive, got -1.0"),
+            (thermal_occupation, (TWO_PI * 1e10, -0.1), "temperature must be non-negative, got -0.1"),
+            (thermal_occupation, (TWO_PI * 1e10, math.nan), "temperature must be non-negative, got nan"),
+            (thermal_occupation, (math.nan, 0.02), "omega must be positive, got nan"),
+            (noise_moments, (math.nan, TWO_PI * 1e10, 0.02), "r must be non-negative, got nan"),
+            (noise_moments, (0.4, math.nan, 0.02), "omega must be positive, got nan"),
+            (noise_moments, (0.4, TWO_PI * 1e10, math.nan), "temperature must be non-negative, got nan"),
+        ]
+        for function, args, message in cases:
+            with pytest.raises(DomainError, match=re.escape(message)):
+                function(*args)
 
 
 class TestPhysicalParams:

@@ -120,6 +120,19 @@ class TestSpecValidation:
             small_spec(axes=(AxisSpec("r", start, stop, 3),))
         assert "must be < stop" not in str(err.value)
 
+    def test_overflowing_width_rejected(self):
+        # -1e308 to 1e308 was accepted, and values() gave [nan, inf, 1e308]
+        # with two numpy RuntimeWarnings
+        with pytest.raises(ValidationError) as err:
+            small_spec(axes=(AxisSpec("delta_1", -1e308, 1e308, 3),))
+        assert str(err.value) == (
+            "invalid sweep spec: axes.range: stop 1e+308 - start -1e+308 must be a finite "
+            "number (axis 0, delta_1)"
+        )
+        # a window just inside the float range is accepted, with finite values
+        spec = small_spec(axes=(AxisSpec("delta_1", -8e307, 8e307, 3),))
+        assert spec.axes[0].values().tolist() == [-8e307, 0.0, 8e307]
+
     def test_numpy_integer_count_accepted(self, tmp_path):
         spec = small_spec(axes=(AxisSpec("r", 0.0, 1.0, np.int64(3)),))
         assert spec.size == 3
