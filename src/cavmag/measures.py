@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, steady_state
+from . import model, numerics, steady_state
 from .errors import CavmagError, DomainError, NumericalError, PhysicalityError
 from .model import PhysicalParams
 from .steady_state import StabilityReport
@@ -354,21 +354,22 @@ def _measures(v, one_vs_two: bool = True, steering: bool = True) -> list:
     G = A J C - C J B, J = [[0, 1], [-1, 0]]: neither term on the right
     cancels when the pair is weakly correlated.
 
-    Four steps run once on the whole stack: eigvalsh of each V; one
-    eigen-solve of the stacked _SPECTRUM_FORMS @ V for the symplectic
-    spectrum of each V (which the Heisenberg refusal and nu_min read) and,
-    if one_vs_two, of its three one-vs-two partial transposes; one
-    determinant of the stacked pair CMs; and the _PAIR_TWIST product for G.
-    numpy loops over a stack calling LAPACK or BLAS once per matrix, so each
-    value is the one a stack of one gives, bit for bit. _row then finishes
-    each CM on Python floats from one .tolist() of each array, with one
-    numpy logarithm of its 3 to 12 arguments (element by element, so each
-    value is the same whichever others sit beside it), all under one
-    np.errstate for the stack; every step is the IEEE
-    operation an elementwise array version takes, in the same order
-    (x * x, as ** raises on overflow; _quotient, as Python's division
-    raises where IEEE gives inf or nan). So the row is bit for bit that of
-    a numpy tail, without numpy's overhead on arrays of 3 to 12 elements.
+    Four steps run once on the whole stack: numerics.eigvalsh of each V;
+    one numerics.eigvals of the stacked _SPECTRUM_FORMS @ V for the
+    symplectic spectrum of each V (which the Heisenberg refusal and nu_min
+    read) and, if one_vs_two, of its three one-vs-two partial transposes;
+    one numerics.det of the stacked pair CMs; and the _PAIR_TWIST product
+    for G. Each numerics call is the LAPACK gufunc that np.linalg calls,
+    which loops over a stack calling LAPACK once per matrix, as matmul
+    calls BLAS, so each value is the one a stack of one gives, bit for bit.
+    _row then finishes each CM on Python floats from one .tolist() of each
+    array, with one numpy logarithm of its 3 to 12 arguments (element by
+    element, so each value is the same whichever others sit beside it), all
+    under one np.errstate for the stack; every step is the IEEE operation
+    an elementwise array version takes, in the same order (x * x, as **
+    raises on overflow; _quotient, as Python's division raises where IEEE
+    gives inf or nan). So the row is bit for bit that of a numpy tail,
+    without numpy's overhead on arrays of 3 to 12 elements.
 
     V is refused first when eps cond_2(V) exceeds PHYSICALITY_ATOL: rounding
     then moves the measures by more than the Heisenberg slack. At large
@@ -382,7 +383,7 @@ def _measures(v, one_vs_two: bool = True, steering: bool = True) -> list:
     stack of several CMs the one that raises need not be the first that
     fails; full_report evaluates a failing stack again one point at a time.
     """
-    for eigenvalues in np.linalg.eigvalsh(v).tolist():
+    for eigenvalues in numerics.eigvalsh(v).tolist():
         w = [abs(x) for x in eigenvalues]
         # a nan eigenvalue, which min and max can pass over, reads as cond = inf
         cond = max(w) / min(w) if min(w) > 0.0 and not math.isnan(sum(w)) else math.inf
@@ -398,10 +399,10 @@ def _measures(v, one_vs_two: bool = True, steering: bool = True) -> list:
                 f"(smallest eigenvalue {eigenvalues[0]:.6g} <= 0)"
             )
     forms = _SPECTRUM_FORMS if one_vs_two else _SPECTRUM_FORMS[:1]
-    spectra = np.linalg.eigvals(forms @ v[:, None]).imag.tolist()
+    spectra = numerics.eigvals(forms @ v[:, None]).imag.tolist()
     pair_cms = v.reshape(-1, 36).take(_PAIR_INDEX, axis=1)
     g = (pair_cms[:, :, :2] @ _PAIR_TWIST @ pair_cms[..., 2:]).reshape(-1, 3, 4).tolist()
-    det_pairs = np.linalg.det(pair_cms).tolist()
+    det_pairs = numerics.det(pair_cms).tolist()
     # a partially transposed eigenvalue below the rounding error of V can
     # come out as zero; the finiteness test of _row refuses the infinite
     # negativity, so numpy is not let warn of it

@@ -202,15 +202,18 @@ def noise_moments(r: float, omega_m: float, temperature: float) -> NoiseMoments:
     big_m^2 = big_n (big_n + 1) holds identically. Both are inf from
     r = 355 on (and math.sinh itself overflows from r = 710.48).
     """
+    return NoiseMoments(*_moments(r, omega_m, temperature))
+
+
+def _moments(r: float, omega_m: float, temperature: float) -> tuple[float, float, float]:
+    """noise_moments' (big_n, big_m, n_m) as a tuple, with its refusals."""
     if not r >= 0.0:
         raise DomainError(f"r must be non-negative, got {r}")
     try:
         s, c = math.sinh(r), math.cosh(r)
     except OverflowError:
         s = c = math.inf
-    big_n = s * s
-    big_m = s * c
-    return NoiseMoments(big_n=big_n, big_m=big_m, n_m=thermal_occupation(omega_m, temperature))
+    return s * s, s * c, thermal_occupation(omega_m, temperature)
 
 
 def drift_matrix(p: PhysicalParams) -> np.ndarray:
@@ -239,12 +242,12 @@ def diffusion_matrix(p: PhysicalParams) -> np.ndarray:
     correlations: +2M sqrt(k1 k2) on (X1, X2) and the opposite sign on
     (Y1, Y2).
     """
-    mom = noise_moments(p.r, p.omega_m, p.temperature)
+    big_n, big_m, n_m = _moments(p.r, p.omega_m, p.temperature)  # no NoiseMoments per point
     d = np.zeros((6, 6))
-    d[0, 0] = d[1, 1] = p.kappa_m * (2.0 * mom.n_m + 1.0)
-    d[2, 2] = d[3, 3] = p.kappa_1 * (2.0 * mom.big_n + 1.0)
-    d[4, 4] = d[5, 5] = p.kappa_2 * (2.0 * mom.big_n + 1.0)
-    cross = 2.0 * mom.big_m * math.sqrt(p.kappa_1 * p.kappa_2)
+    d[0, 0] = d[1, 1] = p.kappa_m * (2.0 * n_m + 1.0)
+    d[2, 2] = d[3, 3] = p.kappa_1 * (2.0 * big_n + 1.0)
+    d[4, 4] = d[5, 5] = p.kappa_2 * (2.0 * big_n + 1.0)
+    cross = 2.0 * big_m * math.sqrt(p.kappa_1 * p.kappa_2)
     d[2, 4] = d[4, 2] = cross
     d[3, 5] = d[5, 3] = -cross
     return d

@@ -85,11 +85,12 @@ def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
     both before the linear solve. Each call checks the drift's stability
     and gathers the 36x36 operator from vec(m) (_kron_sum) once for its
     whole stack, and keeps neither. The stack is solved by one
-    np.linalg.solve that broadcasts the operator against the k right-hand
-    sides, so each is the LAPACK solve a 2-D d gets, bit for bit. Each v is
-    symmetrized to remove round-off asymmetry and checked against the
-    residual bound; the first in the stack to miss it raises. For symmetric
-    v, V M^T is the transpose of M V, so one product gives the residual.
+    numerics.solve (LAPACK's solve, as np.linalg.solve calls it) that
+    broadcasts the operator against the k right-hand sides, so each is the
+    LAPACK solve a 2-D d gets, bit for bit. Each v is symmetrized to remove
+    round-off asymmetry and checked against the residual bound; the first
+    in the stack to miss it raises. For symmetric v, V M^T is the transpose
+    of M V, so one product gives the residual.
     """
     m = np.asarray(m, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -110,7 +111,7 @@ def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
         # drift eigenvalues, so Re < 0 after the stability check: LAPACK
         # reporting an exactly singular factor is the only way this solve
         # can fail
-        v = np.linalg.solve(_kron_sum(m), -stack.reshape(-1, n * n, 1)).reshape(stack.shape)
+        v = numerics.solve(_kron_sum(m), -stack.reshape(-1, n * n, 1)).reshape(stack.shape)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"Lyapunov system is singular: {exc}") from exc
     v = 0.5 * (v + v.transpose(0, 2, 1))

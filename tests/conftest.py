@@ -1,6 +1,7 @@
 """Shared test helpers: reference scales, random configuration draws and a
 child Python process that imports this checkout's package."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -10,10 +11,20 @@ import numpy as np
 import pytest
 
 import cavmag
+from cavmag import numerics
 from cavmag.model import TWO_PI, PhysicalParams
 
 KAPPA_C = TWO_PI * 5e6
 KAPPA_M = TWO_PI * 1e6
+
+# Every numpy.linalg function that calls LAPACK.
+LINALG_SOLVERS = (
+    "cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+    "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd", "svdvals", "tensorinv",
+    "tensorsolve",
+)
+# The numerics entry points, through which the package calls LAPACK.
+LAPACK_ENTRY_POINTS = ("solve", "eigvals", "eigvalsh", "det")
 
 
 def random_params(rng, stiff=False) -> PhysicalParams:
@@ -43,6 +54,36 @@ def random_params(rng, stiff=False) -> PhysicalParams:
         r=rng.uniform(0.0, 0.8),
         temperature=rng.uniform(0.0, 0.3),
     )
+
+
+def count_lapack(monkeypatch, shapes=None) -> collections.Counter:
+    """Count every LAPACK call from here on, by rebinding the functions.
+
+    Each numerics entry point counts under its own name, and each
+    np.linalg solver as "np.linalg.<name>", so a path that calls LAPACK
+    through numpy's wrappers shows. If shapes is a list, each entry point
+    appends (name, shape of its first argument) to it.
+    """
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(a, *args, **kwargs):
+            calls[name] += 1
+            if shapes is not None and not name.startswith("np.linalg."):
+                shapes.append((name, a.shape))
+            return real(a, *args, **kwargs)
+        return wrapper
+
+    for name in LAPACK_ENTRY_POINTS:
+        monkeypatch.setattr(numerics, name, counted(name, getattr(numerics, name)))
+    for name in LINALG_SOLVERS:
+        monkeypatch.setattr(np.linalg, name, counted(f"np.linalg.{name}", getattr(np.linalg, name)))
+    return calls
+
+
+def linalg_calls(calls: collections.Counter) -> dict:
+    """The np.linalg solvers among count_lapack's counts."""
+    return {name: n for name, n in calls.items() if name.startswith("np.linalg.")}
 
 
 @pytest.fixture

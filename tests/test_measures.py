@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cavmag.measures as measures
+from cavmag import numerics
 from cavmag.errors import (
     CavmagError,
     DomainError,
@@ -38,7 +39,7 @@ from cavmag.measures import (
 )
 from cavmag.model import PhysicalParams, default_params, diffusion_matrix, drift_matrix
 from cavmag.steady_state import StabilityReport, solve_lyapunov
-from conftest import KAPPA_C, random_params
+from conftest import KAPPA_C, count_lapack, linalg_calls, random_params
 from oracles import columns_mp, pair_log_negativity_mp
 
 GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "data", "golden_report.json")
@@ -75,13 +76,6 @@ DIRECTION_MODES = {
     "m|c2": (Mode.MAGNON, Mode.CAVITY_2),
     "c2|m": (Mode.CAVITY_2, Mode.MAGNON),
 }
-
-# Every numpy.linalg function that calls LAPACK.
-LINALG_SOLVERS = (
-    "cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
-    "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd", "svdvals", "tensorinv",
-    "tensorsolve",
-)
 
 VACUUM_6 = 0.5 * np.eye(6)
 VACUUM_4 = 0.5 * np.eye(4)
@@ -825,17 +819,9 @@ class TestBatchedReport:
         # README's count: the drift spectrum, the 36x36 solve, eigvalsh of V,
         # one stacked eigvals for the four spectra, one stacked det for the
         # three pairs; a sequence of the point and its r/2 twin, which share
-        # the drift, makes the same five calls
-        calls = collections.Counter()
-
-        def counted(name, real):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return wrapper
-
-        for name in LINALG_SOLVERS:
-            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        # the drift, makes the same five calls, all through the numerics
+        # entry points
+        calls = count_lapack(monkeypatch)
         with open(GOLDEN_REPORT, encoding="utf-8") as handle:
             points = json.load(handle)["points"]
         for entry in points:
@@ -844,6 +830,7 @@ class TestBatchedReport:
                 for batch in (p, [p, p.replace(r=0.5 * p.r)]):
                     calls.clear()
                     full_report(batch)
+                    assert linalg_calls(calls) == {}, entry["label"]
                     assert calls == {"eigvals": 2, "eigvalsh": 1, "solve": 1, "det": 1}, (
                         entry["label"]
                     )
@@ -946,22 +933,14 @@ class TestStackedReport:
         # a 12-point stack, r outer and gamma_2 / gamma_1 inner: each of the
         # three drifts gets one spectrum and one solve, wherever its points
         # sit, and the stack one eigvalsh, one stacked eigvals and one det
-        calls = collections.Counter()
-
-        def counted(name, real):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return wrapper
-
         base = default_params()
         points = [
             base.replace(r=r, gamma_2=x * base.gamma_1)
             for r in (0.1, 0.4, 0.7, 1.0) for x in (0.5, 1.0, 1.5)
         ]
-        for name in LINALG_SOLVERS:
-            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        calls = count_lapack(monkeypatch)
         full_report(points)
+        assert linalg_calls(calls) == {}
         assert calls == {"eigvals": 4, "solve": 3, "eigvalsh": 1, "det": 1}
 
     def test_first_failing_point_raises_its_own_error(self):
@@ -1069,17 +1048,20 @@ class TestStackedReport:
                 full_report(p, quantities=quantities)
 
     def test_stacked_lapack_failure_is_retried_one_point_at_a_time(self, monkeypatch):
-        real_det = np.linalg.det
+        real_det = numerics.det
+        failed = []
 
         def det_of_one(a):
             if a.shape[0] > 1:
+                failed.append(a.shape)
                 raise np.linalg.LinAlgError("synthetic failure of a stacked call")
             return real_det(a)
 
         points = [default_params().replace(r=r) for r in (0.1, 0.4, 0.7)]
         expected = self.cold_reports(points)
-        monkeypatch.setattr(np.linalg, "det", det_of_one)
+        monkeypatch.setattr(numerics, "det", det_of_one)
         got = full_report(points)
+        assert failed == [(3, 3, 4, 4)]  # the stacked call failed, once
         assert [report_bits(r) for r in got] == [report_bits(r) for r in expected]
 
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 import re
@@ -299,4 +300,42 @@ class TestDiffusionMatrix:
             assert np.array_equal(
                 SWAP @ diffusion_matrix(p) @ SWAP.T, diffusion_matrix(p.swapped())
             )
+
+    def test_matches_the_public_noise_moments_bit_for_bit(self, rng):
+        # diffusion_matrix reads the moments without building a NoiseMoments;
+        # over stress-box draws (rates in kappa_c, log-uniform), the inf
+        # moments from r = 355 on and the inf occupation where hbar w
+        # underflows, D is the one built from noise_moments, signed zeros
+        # included; the tuple also matches at T = inf, which no
+        # PhysicalParams holds
+        def reference(p):
+            mom = noise_moments(p.r, p.omega_m, p.temperature)
+            d = np.zeros((6, 6))
+            d[0, 0] = d[1, 1] = p.kappa_m * (2.0 * mom.n_m + 1.0)
+            d[2, 2] = d[3, 3] = p.kappa_1 * (2.0 * mom.big_n + 1.0)
+            d[4, 4] = d[5, 5] = p.kappa_2 * (2.0 * mom.big_n + 1.0)
+            cross = 2.0 * mom.big_m * math.sqrt(p.kappa_1 * p.kappa_2)
+            d[2, 4] = d[4, 2] = cross
+            d[3, 5] = d[5, 3] = -cross
+            return d
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        points = [
+            default_params().replace(
+                kappa_2=log_uniform(1e-3, 1e3) * KAPPA_C,
+                kappa_m=log_uniform(1e-3, 10.0) * KAPPA_C,
+                r=rng.uniform(0.0, 3.0),
+                temperature=rng.uniform(0.0, 5.0),
+            )
+            for _ in range(500)
+        ]
+        edges = [(354.0, 0.02), (355.0, 0.0), (400.0, 2.0), (710.47, 0.02), (1000.0, 5.0)]
+        points += [default_params().replace(r=r, temperature=t) for r, t in edges]
+        points += [default_params().replace(omega_m=1e-300), default_params().replace(r=0.0)]
+        for p in points:
+            assert diffusion_matrix(p).tobytes() == reference(p).tobytes(), p
+        for args in [(0.4, TWO_PI * 1e10, math.inf), (400.0, 1.0, math.inf), (0.0, 1e-300, 0.02)]:
+            assert model._moments(*args) == dataclasses.astuple(noise_moments(*args))
 

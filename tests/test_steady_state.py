@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavmag import steady_state
+from cavmag import numerics, steady_state
 from cavmag.errors import DimensionError, DomainError, StabilityError
 from cavmag.measures import full_report, symplectic_eigenvalues
 from cavmag.model import default_params, diffusion_matrix, drift_matrix
@@ -110,9 +110,13 @@ class TestSolveLyapunov:
         def refuse(*args):
             raise AssertionError("the 36x36 solve was reached")
 
-        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(numerics, "solve", refuse)
+        m = drift_matrix(default_params())
+        # the fake sits on the solve's path: a valid d reaches it
+        with pytest.raises(AssertionError, match="the 36x36 solve was reached"):
+            solve_lyapunov(m, -m - m.T)
         with pytest.raises(error, match=message):
-            solve_lyapunov(drift_matrix(default_params()), d)
+            solve_lyapunov(m, d)
 
     def test_operator_is_the_accumulated_kronecker_sum(self, rng):
         # the two gathers give, entry for entry and signed zeros included,

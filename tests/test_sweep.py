@@ -1,4 +1,3 @@
-import collections
 import concurrent.futures
 import json
 import os
@@ -36,7 +35,7 @@ from cavmag.sweep import (
     write_csv,
     write_json,
 )
-from conftest import KAPPA_C, run_python
+from conftest import KAPPA_C, count_lapack, linalg_calls, run_python
 
 
 def small_spec(**kwargs):
@@ -426,25 +425,19 @@ class TestRunSweep:
         # each per chunk and one drift spectrum per chunk for the shared
         # drift, where one call per point made 25 of each; the stacked
         # spectra hold V's alone unless a column reads the one-vs-two splits
-        calls = collections.Counter()
-        spectra_shapes = []
+        shapes = []
+        calls = count_lapack(monkeypatch, shapes)
 
-        def counted(name, real):
-            def wrapper(a, *args, **kwargs):
-                calls[name] += 1
-                if name == "eigvals" and a.ndim == 4:
-                    spectra_shapes.append(a.shape)
-                return real(a, *args, **kwargs)
-            return wrapper
+        def spectra_shapes():
+            return [shape for name, shape in shapes if name == "eigvals" and len(shape) == 4]
 
-        for name in ("solve", "eigvalsh", "det", "eigvals"):
-            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         run_sweep(with_resolution(figure_preset("fig4a"), (5, 5)), workers=1)
+        assert linalg_calls(calls) == {}
         assert calls == {"solve": 3, "eigvalsh": 3, "det": 3, "eigvals": 6}
-        assert spectra_shapes == [(8, 1, 6, 6), (8, 1, 6, 6), (9, 1, 6, 6)]
-        spectra_shapes.clear()
+        assert spectra_shapes() == [(8, 1, 6, 6), (8, 1, 6, 6), (9, 1, 6, 6)]
+        shapes.clear()
         run_sweep(with_resolution(figure_preset("fig5a"), (5, 5)), workers=1)
-        assert spectra_shapes == [(8, 4, 6, 6), (8, 4, 6, 6), (9, 4, 6, 6)]
+        assert spectra_shapes() == [(8, 4, 6, 6), (8, 4, 6, 6), (9, 4, 6, 6)]
 
     # every preset, then each column alone on fig5a, so a column on the
     # wrong side of the one-vs-two stage differs from the full report
