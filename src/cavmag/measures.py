@@ -466,12 +466,12 @@ def full_report(
     sequence of them, which gives a list of reports in the same order. Both
     take the one stacked evaluation (_reports), one point as a stack of one,
     and a sequence's reports are bit for bit those of its points one at a
-    time. A CavmagError names its parameter point. A stack of several
-    points runs stage by stage over its drift groups, so when it fails (a
-    CavmagError, or a LinAlgError from a stacked LAPACK call) it is
-    evaluated again as full_report of each point in turn: the first failing
-    point raises the error it raises on its own, and so is evaluated twice.
-    A sequence of one is evaluated once, as full_report of its point.
+    time. A CavmagError at a point names it and holds it as error.point.
+    A stack of several points runs stage by stage over its drift groups,
+    so when it fails (a CavmagError, or a LinAlgError from a stacked LAPACK
+    call) it is evaluated again as full_report of each point in turn: the
+    first failing point raises its own error, and so is evaluated twice. A
+    sequence of one is evaluated once, as full_report of its point.
 
     quantities names the columns the caller reads (every one of
     REPORT_COLUMNS by default); a name outside them raises DomainError.
@@ -500,7 +500,9 @@ def full_report(
         try:
             return _reports([points], stages)[0]
         except CavmagError as exc:
-            raise type(exc)(f"{exc} [at parameter point {points}]") from exc
+            error = type(exc)(f"{exc} [at parameter point {points}]")
+            error.point = points
+            raise error from exc
     points = list(points)
     if len(points) > 1:
         try:

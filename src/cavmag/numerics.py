@@ -29,23 +29,17 @@ from .errors import DimensionError, DomainError, NumericalError, SingularMatrixE
 SINGULAR_PIVOT_RTOL = 1e-14
 
 
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-def _raise_nonconvergence(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-def _lapack_errors(raiser) -> np.errstate:
+def _lapack_errors(message: str) -> np.errstate:
     """np.linalg's error state around a gufunc: LAPACK's failure flag
-    (invalid) calls raiser, and no other flag warns."""
+    (invalid) raises LinAlgError(message), and no other flag warns."""
+    def raiser(err, flag):
+        raise np.linalg.LinAlgError(message)
     return np.errstate(call=raiser, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 def solve(a, b) -> np.ndarray:
     """np.linalg.solve(a, b) for float a (..., n, n) and b (..., n, k)."""
-    with _lapack_errors(_raise_singular):
+    with _lapack_errors("Singular matrix"):
         return _umath_linalg.solve(a, b, signature="dd->d")
 
 
@@ -57,13 +51,13 @@ def eigvals(a) -> np.ndarray:
     refuses non-finite input, which LAPACK itself reports on stderr before
     failing, so callers pass finite arrays only.
     """
-    with _lapack_errors(_raise_nonconvergence):
+    with _lapack_errors("Eigenvalues did not converge"):
         return _umath_linalg.eigvals(a, signature="d->D")
 
 
 def eigvalsh(a) -> np.ndarray:
     """np.linalg.eigvalsh(a) for float a (..., n, n): ascending, from the lower triangle."""
-    with _lapack_errors(_raise_nonconvergence):
+    with _lapack_errors("Eigenvalues did not converge"):
         return _umath_linalg.eigvalsh_lo(a, signature="d->d")
 
 
@@ -72,14 +66,16 @@ def det(a) -> np.ndarray:
     return _umath_linalg.det(a, signature="d->d")
 
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
+def _as_square(a) -> np.ndarray:
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {out.shape}")
+        raise DimensionError(f"matrix must be 2-D, got shape {out.shape}")
     if not np.isfinite(out).all():
-        raise DomainError(f"{name} contains non-finite entries")
+        raise DomainError("matrix contains non-finite entries")
     if out.shape[0] != out.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {out.shape}")
+        raise DimensionError(f"matrix must be square, got shape {out.shape}")
+    if not out.size:  # numpy's max over an empty spectrum has no identity
+        raise DimensionError(f"matrix must not be empty, got shape {out.shape}")
     return out
 
 

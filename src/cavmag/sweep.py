@@ -161,38 +161,42 @@ def _evaluate_range(args) -> list:
     """The rows of one chunk: its grid points, each a tuple of axis values,
     the first at flat index start, evaluated by one full_report call.
 
-    A chunk of several points that raises a CavmagError is evaluated again
-    as one-point chunks of itself, so the first failing point in row-major
-    order raises, with its flat index, grid indices and axis values; if no
-    point fails on its own, the chunk's error is raised.
+    A CavmagError names the first failing point in row-major order: the one
+    whose parameters or stability-map spectrum were being built, or the one
+    that full_report's error holds, once the points before it have passed.
     """
     spec, points, start = args
+    stability_map = spec.quantities == ("lambda_max",)
+    params, stabs, error = [], [], None
     try:
-        params = []
         for point in points:
             p = spec.base
             for ax, value in zip(spec.axes, point):
                 p = apply_axis_value(p, ax.parameter, value)
             params.append(p)
-        if spec.quantities == ("lambda_max",):
-            # a stability map needs the drift spectrum only, no steady state
-            stabs = [steady_state.stability(model.drift_matrix(p)) for p in params]
-            return [[*point, stab.max_real_part, stab.stable] for point, stab in zip(points, stabs)]
-        reports = [report.as_dict() for report in full_report(params, quantities=spec.quantities)]
-        return [
-            [*point, *(report[q] for q in spec.quantities), report["stable"]]
-            for point, report in zip(points, reports)
-        ]
     except CavmagError as exc:
-        error = exc  # replayed below, so a point's error does not chain to it
-    if len(points) == 1:
-        # row-major: the last axis varies fastest
-        coords = divmod(start, spec.axes[1].count) if len(spec.axes) == 2 else (start,)
-        where = ", ".join(f"{ax.parameter} = {v!r}" for ax, v in zip(spec.axes, points[0]))
-        raise type(error)(f"{error} [at grid point {start}, indices {coords}: {where}]") from error
-    for flat_index, point in enumerate(points, start):
-        _evaluate_range((spec, [point], flat_index))
-    raise error
+        error, at = exc, len(params)
+    try:
+        if stability_map:
+            # a stability map needs the drift spectrum only, no steady state
+            for p in params:
+                stabs.append(steady_state.stability(model.drift_matrix(p)))
+            rows = [[*point, stab.max_real_part, stab.stable] for point, stab in zip(points, stabs)]
+        else:
+            reports = [report.as_dict() for report in full_report(params, quantities=spec.quantities)]
+            rows = [
+                [*point, *(report[q] for q in spec.quantities), report["stable"]]
+                for point, report in zip(points, reports)
+            ]
+        if error is None:
+            return rows
+    except CavmagError as exc:
+        error = exc
+        at = len(stabs) if stability_map else [p is exc.point for p in params].index(True)
+    # row-major: the last axis varies fastest
+    coords = divmod(start + at, spec.axes[1].count) if len(spec.axes) == 2 else (start + at,)
+    where = ", ".join(f"{ax.parameter} = {v!r}" for ax, v in zip(spec.axes, points[at]))
+    raise type(error)(f"{error} [at grid point {start + at}, indices {coords}: {where}]") from error
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
@@ -208,17 +212,15 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     which decide the stages it runs (see full_report). Nothing is kept
     between chunks, and the rows stay in row-major order. A CavmagError at a
     point, a drift that is not Hurwitz stable included, aborts the sweep:
-    the failing chunk is evaluated again as one-point chunks, and the first
-    failing point in row-major order is re-raised with its type and its
-    flat index, grid indices and axis values. That point is evaluated alone
-    twice, once in full_report's own replay of the chunk and once as its
-    one-point chunk, since full_report does not say which point failed.
-    Any failure in a pool cancels the chunks not yet started and is raised
-    once the running ones end. A sweep of lambda_max alone evaluates only
-    the drift spectrum and reports the stable flag it computes. The result
-    is independent of the worker count. Starting and stopping the pool
-    costs 20 to 30 ms on a 2-vCPU host, so 2 workers pay on a 101x101
-    figure grid but not on a grid of a few dozen points.
+    the first failing point in row-major order, which full_report finds in
+    a failing chunk, is re-raised with its type and its flat index, grid
+    indices and axis values. Any failure in a pool cancels the chunks not
+    yet started and is raised once the running ones end. A sweep of
+    lambda_max alone evaluates only the drift spectrum and reports the
+    stable flag it computes. The result is independent of the worker count.
+    Starting and stopping the pool costs 20 to 30 ms on a 2-vCPU host, so 2
+    workers pay on a 101x101 figure grid but not on a grid of a few dozen
+    points.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
         raise ValidationError(f"workers must be an integer, got {workers!r}")

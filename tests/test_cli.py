@@ -272,6 +272,21 @@ class TestPointCommand:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: d contains non-finite entries [at parameter point ")
 
+    def test_lyapunov_residual_refusal_exits_1(self, capsys):
+        # the point of test_measures.residual_params in CLI units; the
+        # digits are LAPACK's rounding, so only the line's shape is pinned
+        code, out, err = run_cli(
+            capsys, "point", "--kappa-1", "5", "--kappa-2", "5", "--kappa-m", "50",
+            "--gamma-1", "5e9", "--gamma-2", "500", "--delta-1", "5e8:hz", "--r", "1",
+        )
+        assert (code, out) == (1, "")
+        number = r"\d\.\d{3}e[+-]\d\d"
+        assert re.fullmatch(
+            rf"error: Lyapunov residual {number} exceeds bound {number} "
+            rf"\[at parameter point PhysicalParams\(kappa_1=31\.41592653589793, .*\)\]\n",
+            err,
+        ), err
+
 
 class TestSweepCommand:
     def test_explicit_spec_file(self, capsys, tmp_path):

@@ -37,7 +37,7 @@ from cavmag.measures import (
     symplectic_eigenvalues,
     symplectic_form,
 )
-from cavmag.model import PhysicalParams, default_params, diffusion_matrix, drift_matrix
+from cavmag.model import TWO_PI, PhysicalParams, default_params, diffusion_matrix, drift_matrix
 from cavmag.steady_state import StabilityReport, solve_lyapunov
 from conftest import KAPPA_C, count_lapack, linalg_calls, random_params
 from oracles import columns_mp, pair_log_negativity_mp
@@ -428,6 +428,34 @@ class TestGaussianSteering:
         assert classify_steering(0.1, 0.2) == "two-way"
 
 
+def residual_params():
+    """A point that the Lyapunov residual bound refuses: a 1e3 kappa_c coupling
+    to the first cavity against decay rates of 1e-6 kappa_c (the point
+    `cavmag point --kappa-1 5 --kappa-2 5 --kappa-m 50 --gamma-1 5e9
+    --gamma-2 500 --delta-1 5e8:hz --r 1`)."""
+    return default_params().replace(
+        kappa_1=1e-6 * KAPPA_C, kappa_2=1e-6 * KAPPA_C, kappa_m=1e-5 * KAPPA_C,
+        gamma_1=1e3 * KAPPA_C, gamma_2=1e-4 * KAPPA_C, delta_1=100 * KAPPA_C, r=1.0,
+    )
+
+
+# Each refusal type that a valid point reaches, with no fakes: (change to
+# default_params(), error type, start of the message)
+REAL_REFUSALS = {
+    "unstable gamma_1 = 1e300": (
+        dict(gamma_1=TWO_PI * 1e300), StabilityError, "drift matrix is unstable"),
+    "ill-conditioned r = 9 at 2 K": (
+        dict(r=9.0, temperature=2.0), NumericalError, "covariance matrix too ill-conditioned"),
+    "non-finite D at r = 1000": (
+        dict(r=1000.0), DomainError, "d contains non-finite entries"),
+    "Lyapunov residual": (None, NumericalError, "Lyapunov residual "),
+}
+
+
+def refused_params(change):
+    return residual_params() if change is None else default_params().replace(**change)
+
+
 class TestFullReport:
     def test_no_squeezing_no_correlations(self):
         rep = full_report(default_params().replace(r=0.0))
@@ -546,6 +574,32 @@ class TestFullReport:
         monkeypatch.setattr(measures.steady_state, "solve_lyapunov", boom)
         with pytest.raises(StabilityError, match="at parameter point"):
             full_report(default_params())
+
+    @pytest.mark.parametrize("change, error_type, start", REAL_REFUSALS.values(), ids=REAL_REFUSALS)
+    def test_refusal_holds_its_point(self, change, error_type, start):
+        p = refused_params(change)
+        with pytest.raises(error_type) as info:
+            full_report(p)
+        assert info.value.point is p
+        message = str(info.value)
+        assert message.startswith(start)
+        assert message.endswith(f" [at parameter point {p}]")
+
+    def test_lyapunov_residual_refusal_is_reached(self):
+        # the only refusal of solve_lyapunov after its solve; the digits are
+        # LAPACK's rounding, so only the message's shape is pinned
+        p = residual_params()
+        with pytest.raises(NumericalError) as info:
+            full_report(p)
+        number = r"\d\.\d{3}e[+-]\d\d"
+        assert re.fullmatch(
+            rf"Lyapunov residual {number} exceeds bound {number} "
+            rf"\[at parameter point {re.escape(str(p))}\]",
+            str(info.value),
+        ), str(info.value)
+        residual, bound = map(float, re.findall(number, str(info.value)))
+        assert residual > bound
+        assert info.value.point is p
 
     def test_as_dict_round_trip_of_columns(self):
         flat = full_report(default_params()).as_dict()
@@ -964,6 +1018,23 @@ class TestStackedReport:
         with pytest.raises(NumericalError) as stacked:
             full_report([valid, squeezed, unstable])
         assert str(stacked.value) == str(alone.value)
+
+    def test_sequence_raises_the_error_of_its_element(self):
+        # each failing point is a copy, equal but not identical, so .point
+        # is the sequence's own element; the stack's first failing point
+        # raises, with the message it raises alone
+        valid = default_params()
+        later = valid.replace(gamma_2=1e17 * valid.gamma_1)  # unstable
+        for change, error_type, _ in REAL_REFUSALS.values():
+            alone = refused_params(change)
+            element = alone.replace(r=alone.r)
+            assert element == alone and element is not alone
+            with pytest.raises(error_type) as single:
+                full_report(alone)
+            with pytest.raises(error_type) as stacked:
+                full_report([valid, valid.replace(r=0.1), element, later])
+            assert stacked.value.point is element
+            assert str(stacked.value) == str(single.value)
 
     def test_pair_quantities_skip_the_one_vs_two_stage_bit_for_bit(self):
         # point_inputs-style draws (detunings in kappa_c), then r from 5 to

@@ -199,6 +199,11 @@ class TestEigGeneral:
         with pytest.raises(DomainError):
             eig_general([[np.nan, 0.0], [0.0, 1.0]])
 
+    def test_rejects_empty(self):
+        # numpy's max over the empty spectrum once raised a bare ValueError
+        with pytest.raises(DimensionError, match=r"^matrix must not be empty, got shape \(0, 0\)$"):
+            eig_general(np.zeros((0, 0)))
+
 
 class TestSolveLinear:
     def test_identity(self, rng):
@@ -225,6 +230,10 @@ class TestSolveLinear:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             solve_linear(np.eye(3), np.ones(4))
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionError, match="must not be empty"):
+            solve_linear(np.zeros((0, 0)), np.zeros(0))
 
     def test_importing_the_package_leaves_scipy_unloaded(self):
         # scipy.linalg is imported by solve_linear alone, which no production

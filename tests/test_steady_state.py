@@ -218,6 +218,15 @@ class TestDriftMemo:
         with pytest.raises(DimensionError, match=r"must be square, got shape \(4, 9\)"):
             solve_lyapunov(m.reshape(4, 9), np.eye(6).reshape(4, 9))
 
+    def test_empty_drift_is_refused(self):
+        # both once ended in numpy's bare "zero-size array to reduction
+        # operation maximum which has no identity"
+        empty = np.zeros((0, 0))
+        with pytest.raises(DimensionError, match=r"^matrix must not be empty, got shape \(0, 0\)$"):
+            stability(empty)
+        with pytest.raises(DimensionError, match=r"^matrix must not be empty, got shape \(0, 0\)$"):
+            solve_lyapunov(empty, empty)
+
     def test_threads_get_cold_results(self):
         # six threads on two cores, each cycling through three drifts and
         # three diffusions with a short switch interval: state shared

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import os
 import re
 import textwrap
@@ -46,6 +47,21 @@ def small_spec(**kwargs):
     )
     defaults.update(kwargs)
     return SweepSpec(**defaults)
+
+
+def failing_report(fails, evaluate=full_report):
+    """A full_report fake: a chunk that holds a point for which fails(point)
+    is true raises, as full_report does, the first such point's error,
+    which names the point and holds it as .point; any other chunk goes to
+    evaluate."""
+    def report(points, **kwargs):
+        for point in points:
+            if fails(point):
+                error = PhysicalityError(f"synthetic failure [at parameter point {point}]")
+                error.point = point
+                raise error
+        return evaluate(points, **kwargs)
+    return report
 
 
 def set_cell(row, index, value):
@@ -308,13 +324,7 @@ class TestRunSweep:
             axes=(AxisSpec("r", 0.0, 1.0, 3), AxisSpec("temperature", 0.0, 2.0, 9)),
             quantities=("e_n_c1c2",),
         )
-        real_report = sweep_mod.full_report
-
-        def fail_at_centre(points, **kwargs):
-            if any(params.r == 0.5 and params.temperature == 1.0 for params in points):
-                raise PhysicalityError("synthetic failure")
-            return real_report(points, **kwargs)
-
+        fail_at_centre = failing_report(lambda p: p.r == 0.5 and p.temperature == 1.0)
         monkeypatch.setattr(sweep_mod, "full_report", fail_at_centre)
         with pytest.raises(PhysicalityError) as info:
             run_sweep(spec, workers=workers)
@@ -329,15 +339,14 @@ class TestRunSweep:
         spec = small_spec(axes=(AxisSpec("r", 0.0, 1.0, 128),))
         log = tmp_path / "evaluated.txt"
 
-        def fail_first(points, **kwargs):
-            if any(params.r == 0.0 for params in points):
-                raise PhysicalityError("synthetic failure")
+        def slow_report(points, **kwargs):
             for params in points:
                 with open(log, "a", encoding="utf-8") as handle:
                     handle.write(f"{params.r!r}\n")
                 time.sleep(0.02)
             return full_report(points, **kwargs)
 
+        fail_first = failing_report(lambda p: p.r == 0.0, slow_report)
         monkeypatch.setattr(sweep_mod, "full_report", fail_first)
         with pytest.raises(PhysicalityError, match="grid point 0, indices \\(0,\\)"):
             run_sweep(spec, workers=2)
@@ -385,9 +394,9 @@ class TestRunSweep:
         assert str(info.value) == f"{alone.value} {where}"
 
     def test_failing_point_is_evaluated_once_per_retry(self, monkeypatch):
-        # the chunk's stack of eight, the point alone in full_report's retry,
-        # and once more in the sweep's retry, which gives the grid location;
-        # a sequence of one is not retried inside full_report
+        # the chunk's stack of eight, then the point alone in full_report's
+        # retry, whose error holds the point the sweep names; the sweep does
+        # not evaluate it again
         sizes = []
         real_reports = measures._reports
 
@@ -400,7 +409,67 @@ class TestRunSweep:
         spec = small_spec(base=base, axes=(AxisSpec("gamma_ratio", 1.0, 1.5e17, 16),))
         with pytest.raises(NumericalError, match=re.escape("[at grid point 0, ")):
             run_sweep(spec)
-        assert sizes == [8, 1, 1]
+        assert sizes == [8, 1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unbuildable_parameters_name_their_grid_point(self, workers):
+        # no fakes: r = -1 is refused while the first point's parameters
+        # are built, before any evaluation; 16 points make 2 chunks, so 2
+        # workers run a pool
+        spec = small_spec(axes=(AxisSpec("r", -1.0, 1.0, 16),))
+        with pytest.raises(DomainError) as info:
+            run_sweep(spec, workers=workers)
+        assert str(info.value) == (
+            "r must be non-negative, got -1.0 [at grid point 0, indices (0,): r = -1.0]"
+        )
+
+    @pytest.mark.parametrize("quantities, flat_index", [
+        (("e_n_c1c2",), 1), (("lambda_max",), 8),
+    ], ids=["full report", "stability map"])
+    def test_refusal_before_an_unbuildable_point_is_raised_first(self, quantities, flat_index):
+        # no fakes: gamma_2 = gamma_ratio * gamma_1 overflows to inf from
+        # point 8 on, and points 1 to 7 are not Hurwitz stable. The sweep
+        # names the first point that fails one at a time, since a chunk
+        # evaluates the points before an unbuildable one before it raises.
+        # 72 points make chunks of 9 serially and of 8 on 2 workers, so only
+        # the serial first chunk holds point 8: naming the unbuildable point
+        # at once would make the named point depend on the worker count. A
+        # stability map refuses no drift, so it names point 8
+        base = default_params()
+        spec = small_spec(axes=(AxisSpec("gamma_ratio", 1.0, 1.35e301, 72),), quantities=quantities)
+        values = spec.axes[0].values().tolist()
+        assert values[7] * base.gamma_1 < math.inf == values[8] * base.gamma_1
+        with pytest.raises(CavmagError) as alone:
+            if flat_index == 8:
+                apply_axis_value(base, "gamma_ratio", values[8])
+            else:
+                full_report(apply_axis_value(base, "gamma_ratio", values[1]))
+        where = (f"[at grid point {flat_index}, indices ({flat_index},): "
+                 f"gamma_ratio = {values[flat_index]!r}]")
+        for workers in (1, 2):
+            with pytest.raises(type(alone.value)) as info:
+                run_sweep(spec, workers=workers)
+            assert str(info.value) == f"{alone.value} {where}", workers
+
+    def test_stability_map_names_the_spectrum_it_was_building(self, monkeypatch):
+        # the fifth drift spectrum of a 3x3 stability map fails
+        real_stability = steady_state.stability
+        calls = []
+
+        def fail_fifth(m):
+            calls.append(m)
+            if len(calls) == 5:
+                raise NumericalError("synthetic failure")
+            return real_stability(m)
+
+        monkeypatch.setattr(steady_state, "stability", fail_fifth)
+        spec = with_resolution(figure_preset("fig8a"), (3, 3))
+        with pytest.raises(NumericalError) as info:
+            run_sweep(spec)
+        assert str(info.value) == (
+            "synthetic failure [at grid point 4, indices (1, 1): delta_1 = 0.0, delta_2 = 0.0]"
+        )
+        assert len(calls) == 5
 
     def test_squeezing_beyond_the_float_range_names_its_grid_point(self):
         # math.sinh overflows from r = 710.48; the sweep once raised a bare
