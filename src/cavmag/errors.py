@@ -14,7 +14,7 @@ class DomainError(CavmagError):
 
 
 class SingularMatrixError(CavmagError):
-    """A linear solve hit a pivot too small to trust."""
+    """A linear solve hit a pivot too small to trust, or LAPACK an exactly singular factor."""
 
 
 class NumericalError(CavmagError):

@@ -365,7 +365,7 @@ def _measures(v, one_vs_two: bool = True, steering: bool = True) -> list:
     _row then finishes each CM on Python floats from one .tolist() of each
     array, with one numpy logarithm of its 3 to 12 arguments (element by
     element, so each value is the same whichever others sit beside it), all
-    under one np.errstate for the stack; every step is the IEEE operation
+    under the errstate of _reports; every step is the IEEE operation
     an elementwise array version takes, in the same order (x * x, as **
     raises on overflow; _quotient, as Python's division raises where IEEE
     gives inf or nan). So the row is bit for bit that of a numpy tail,
@@ -382,6 +382,7 @@ def _measures(v, one_vs_two: bool = True, steering: bool = True) -> list:
     Each check runs over the whole stack before the next step, so in a
     stack of several CMs the one that raises need not be the first that
     fails; full_report evaluates a failing stack again one point at a time.
+    A LAPACK failure raises the NumericalError of the numerics call.
     """
     for eigenvalues in numerics.eigvalsh(v).tolist():
         w = [abs(x) for x in eigenvalues]
@@ -403,11 +404,7 @@ def _measures(v, one_vs_two: bool = True, steering: bool = True) -> list:
     pair_cms = v.reshape(-1, 36).take(_PAIR_INDEX, axis=1)
     g = (pair_cms[:, :, :2] @ _PAIR_TWIST @ pair_cms[..., 2:]).reshape(-1, 3, 4).tolist()
     det_pairs = numerics.det(pair_cms).tolist()
-    # a partially transposed eigenvalue below the rounding error of V can
-    # come out as zero; the finiteness test of _row refuses the infinite
-    # negativity, so numpy is not let warn of it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return list(map(_row, v.tolist(), spectra, det_pairs, g, itertools.repeat(steering)))
+    return list(map(_row, v.tolist(), spectra, det_pairs, g, itertools.repeat(steering)))
 
 
 def _row(x: list, spectra: list, det_pairs: list, g: list, steering: bool) -> list:
@@ -417,7 +414,8 @@ def _row(x: list, spectra: list, det_pairs: list, g: list, steering: bool) -> li
     entries. Without the one-vs-two spectra the row lacks the seven
     ONE_VS_TWO_COLUMNS; unless steering is true it lacks the nine
     STEERING_COLUMNS and takes none of their quotients and logarithms.
-    The caller holds numpy's errstate for the logarithm."""
+    _reports holds numpy's errstate: a partially transposed eigenvalue
+    below V's rounding can be zero, its infinite negativity refused below."""
     # +/- i nu pairs: the second-smallest modulus is the smallest nu
     nu_min = _require_heisenberg(sorted(map(abs, spectra[0]))[1])
 
@@ -466,12 +464,13 @@ def full_report(
     sequence of them, which gives a list of reports in the same order. Both
     take the one stacked evaluation (_reports), one point as a stack of one,
     and a sequence's reports are bit for bit those of its points one at a
-    time. A CavmagError at a point names it and holds it as error.point.
-    A stack of several points runs stage by stage over its drift groups,
-    so when it fails (a CavmagError, or a LinAlgError from a stacked LAPACK
-    call) it is evaluated again as full_report of each point in turn: the
-    first failing point raises its own error, and so is evaluated twice. A
-    sequence of one is evaluated once, as full_report of its point.
+    time. Every refusal, a LAPACK failure included, is a CavmagError that
+    names its point and holds it as error.point, and numpy warns of no
+    floating-point flag on the way. A stack of several points runs stage by
+    stage over its drift groups, so when it fails it is evaluated again as
+    full_report of each point in turn: the first failing point raises its
+    own error, and so is evaluated twice. A sequence of one is evaluated
+    once, as full_report of its point.
 
     quantities names the columns the caller reads (every one of
     REPORT_COLUMNS by default); a name outside them raises DomainError.
@@ -507,7 +506,7 @@ def full_report(
     if len(points) > 1:
         try:
             return _reports(points, stages)
-        except (CavmagError, np.linalg.LinAlgError):
+        except CavmagError:
             pass  # evaluated again below, one point at a time
     return [full_report(p, quantities=quantities) for p in points]
 
@@ -516,22 +515,26 @@ def _reports(points: list, stages: tuple) -> list:
     """The reports of a non-empty stack of points, in its order: one
     solve_lyapunov call per distinct drift, on the diffusion matrices of
     the points that share it wherever they sit, and one _measures call
-    with the optional stages (one_vs_two, steering) that stages holds."""
-    groups = {}  # the drift's bytes: (drift, its points' positions, their D)
-    for i, p in enumerate(points):
-        m = model.drift_matrix(p)
-        _, positions, diffusions = groups.setdefault(m.tobytes(), (m, [], []))
-        positions.append(i)
-        diffusions.append(model.diffusion_matrix(p))
-    stacks, placed = [], []  # placed: (position, stability report) per V
-    for m, positions, diffusions in groups.values():
-        v, report = steady_state.solve_lyapunov(m, np.array(diffusions))
-        stacks.append(v)
-        placed += [(i, report) for i in positions]
-    v = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-    columns = _STAGE_COLUMNS[stages]
-    reports = [None] * len(points)
-    for (i, report), row in zip(placed, _measures(v, *stages)):
-        row.append(report.max_real_part)
-        reports[i] = CorrelationReport(report, dict(zip(columns, row, strict=True)))
-    return reports
+    with the optional stages (one_vs_two, steering) that stages holds. Every
+    floating-point flag is ignored, since each ends in a named refusal: an
+    overflow in solve_lyapunov in its residual bound, and one in G, det or
+    a logarithm of _measures in the finiteness test of _row."""
+    with np.errstate(all="ignore"):
+        groups = {}  # the drift's bytes: (drift, its points' positions, their D)
+        for i, p in enumerate(points):
+            m = model.drift_matrix(p)
+            _, positions, diffusions = groups.setdefault(m.tobytes(), (m, [], []))
+            positions.append(i)
+            diffusions.append(model.diffusion_matrix(p))
+        stacks, placed = [], []  # placed: (position, stability report) per V
+        for m, positions, diffusions in groups.values():
+            v, report = steady_state.solve_lyapunov(m, np.array(diffusions))
+            stacks.append(v)
+            placed += [(i, report) for i in positions]
+        v = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        columns = _STAGE_COLUMNS[stages]
+        reports = [None] * len(points)
+        for (i, report), row in zip(placed, _measures(v, *stages)):
+            row.append(report.max_real_part)
+            reports[i] = CorrelationReport(report, dict(zip(columns, row, strict=True)))
+        return reports

@@ -2,12 +2,14 @@
 
 solve, eigvals, eigvalsh and det call the gufuncs behind np.linalg, from
 numpy's private module numpy.linalg._umath_linalg, with np.linalg's type
-signatures and error state. So each gives np.linalg's values bit for bit,
-and a singular or non-convergent call raises np.linalg.LinAlgError. They
-skip np.linalg's shape, finiteness and type checks, which cost about as
-much as a 6x6 eigen-solve: callers pass finite float arrays of matching
-shapes. Callers reach them as numerics.solve(...) and so on, so a test or a
-tracer can rebind them; a tier-1 test fails by name if numpy renames one.
+signatures and error state, so each gives np.linalg's values bit for bit.
+Where LAPACK sets its failure flag, solve raises SingularMatrixError and
+eigvals and eigvalsh NumericalError; no other module handles a LAPACK
+failure. They skip np.linalg's shape, finiteness and type checks, which
+cost about as much as a 6x6 eigen-solve: callers pass float arrays of
+matching shapes. Callers reach them as numerics.solve(...) and so on, so a
+test or a tracer can rebind them; a tier-1 test fails by name if numpy
+renames one.
 
 eig_general is the drift eigen-solve behind steady_state.stability: it
 refuses a matrix that is not 2-D, square and finite, then calls eigvals.
@@ -27,19 +29,21 @@ from .errors import DimensionError, DomainError, NumericalError, SingularMatrixE
 
 # Relative pivot threshold below which a solve is refused as singular.
 SINGULAR_PIVOT_RTOL = 1e-14
+_NO_CONVERGENCE = "eigenvalue iteration failed: Eigenvalues did not converge"
 
 
-def _lapack_errors(message: str) -> np.errstate:
+def _lapack_errors(error: type, message: str) -> np.errstate:
     """np.linalg's error state around a gufunc: LAPACK's failure flag
-    (invalid) raises LinAlgError(message), and no other flag warns."""
+    (invalid) raises error(message) where np.linalg raises LinAlgError, and
+    no other flag warns."""
     def raiser(err, flag):
-        raise np.linalg.LinAlgError(message)
+        raise error(message)
     return np.errstate(call=raiser, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 def solve(a, b) -> np.ndarray:
     """np.linalg.solve(a, b) for float a (..., n, n) and b (..., n, k)."""
-    with _lapack_errors("Singular matrix"):
+    with _lapack_errors(SingularMatrixError, "Singular matrix"):
         return _umath_linalg.solve(a, b, signature="dd->d")
 
 
@@ -51,18 +55,18 @@ def eigvals(a) -> np.ndarray:
     refuses non-finite input, which LAPACK itself reports on stderr before
     failing, so callers pass finite arrays only.
     """
-    with _lapack_errors("Eigenvalues did not converge"):
+    with _lapack_errors(NumericalError, _NO_CONVERGENCE):
         return _umath_linalg.eigvals(a, signature="d->D")
 
 
 def eigvalsh(a) -> np.ndarray:
     """np.linalg.eigvalsh(a) for float a (..., n, n): ascending, from the lower triangle."""
-    with _lapack_errors("Eigenvalues did not converge"):
+    with _lapack_errors(NumericalError, _NO_CONVERGENCE):
         return _umath_linalg.eigvalsh_lo(a, signature="d->d")
 
 
 def det(a) -> np.ndarray:
-    """np.linalg.det(a) for float a (..., n, n); like it, under the caller's errstate."""
+    """np.linalg.det(a) for float a (..., n, n), under the caller's errstate (measures._reports)."""
     return _umath_linalg.det(a, signature="d->d")
 
 
@@ -85,13 +89,9 @@ def eig_general(a) -> np.ndarray:
     The array is complex, or real when every imaginary part is zero
     (numpy's rule; cavmag point prints this array as its spectrum); complex
     eigenvalues come in conjugate pairs. steady_state.stability is the only
-    caller.
+    caller. A LAPACK failure raises eigvals' NumericalError.
     """
-    m = _as_square(a)
-    try:
-        w = eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
+    w = eigvals(_as_square(a))
     return w.real if (w.imag == 0).all() else w
 
 

@@ -25,7 +25,6 @@ from .errors import (
     DimensionError,
     DomainError,
     NumericalError,
-    SingularMatrixError,
     StabilityError,
 )
 
@@ -106,14 +105,8 @@ def solve_lyapunov(m, d) -> tuple[np.ndarray, StabilityReport]:
         raise DomainError("d contains non-finite entries")
     n = m.shape[0]
     stack = d.reshape(-1, n, n)
-    try:
-        # every eigenvalue of the operator is a sum lambda_i + lambda_j of
-        # drift eigenvalues, so Re < 0 after the stability check: LAPACK
-        # reporting an exactly singular factor is the only way this solve
-        # can fail
-        v = numerics.solve(_kron_sum(m), -stack.reshape(-1, n * n, 1)).reshape(stack.shape)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"Lyapunov system is singular: {exc}") from exc
+    # the operator's eigenvalues lambda_i + lambda_j have Re < 0: only an exact zero pivot fails
+    v = numerics.solve(_kron_sum(m), -stack.reshape(-1, n * n, 1)).reshape(stack.shape)
     v = 0.5 * (v + v.transpose(0, 2, 1))
 
     # infinity norms (largest absolute row sum) of each residual, then of

@@ -1,9 +1,13 @@
+import io
 import json
+import operator
 import re
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavmag.cli import PARAM_FIELDS, main, parse_config_file, resolve_params
@@ -550,12 +554,67 @@ def test_grid_commands_share_their_stderr_tail(capsys, tmp_path, command, label)
     # the window's width overflows; it was once let through to nan grid
     # values and a numpy RuntimeWarning
     (("stability", "--grid", "3x3", "--window=-1e308:1e308"), 1),
+    # once a bare LinAlgError from the one-vs-two eigen-solve
+    (("point", "--r=5e-324", "--temperature=93.76011927227091",
+      "--gamma-2=111088811935381.0:kc"), 1),
+    # once overflow warnings from the Lyapunov operator, then from G and det,
+    # before the residual and finiteness refusals
+    (("point", "--kappa-m=1.7e+308:rad"), 1),
+    (("point", "--r=342.244915322078", "--gamma-2=342.244915322078:kc"), 1),
 ])
 def test_extreme_inputs_end_in_an_exit_code(capsys, tmp_path, monkeypatch, argv, expected):
     monkeypatch.chdir(tmp_path)  # a grid command writes to the working directory
     code, _, err = run_cli(capsys, *argv)
     assert code == expected
-    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+    # a refusal is one error line and nothing else; a success writes no error
+    lines = err.splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    else:
+        assert not any(line.startswith("error:") for line in lines), err
+
+
+# A number over the whole float range, and per field a valid flag value: a
+# number (signed for a detuning, zero for a coupling, r or T) with a unit
+# tag that the field takes
+NUMBER = st.floats(-308.0, 308.0).map(lambda e: 10.0**e)
+FLAG_VALUES = {
+    field: st.builds(
+        "{}{}".format,
+        (NUMBER | NUMBER.map(operator.neg) if field.startswith("delta")
+         else NUMBER if field in ("kappa_1", "kappa_2", "kappa_m", "omega_m")
+         else NUMBER | st.just(0.0)).map(repr),
+        st.sampled_from([""] if unit == "none"
+                        else ["", ":hz", ":rad"] + [":kc"] * (field != "kappa_1")),
+    )
+    for field, unit in PARAM_FIELDS.items()
+}
+# A value that float() or the field refuses
+JUNK_VALUE = st.sampled_from(["-1", "nan", "inf", "-inf", "x", "", "1:bogus", "1:kc", "1e309"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(values=st.fixed_dictionaries({}, optional=FLAG_VALUES),
+       junk=st.none() | st.tuples(st.sampled_from(list(PARAM_FIELDS)), JUNK_VALUE))
+@example(values={"r": "5e-324", "temperature": "93.76011927227091",
+                 "gamma_2": "111088811935381.0:kc"}, junk=None)
+@example(values={"kappa_m": "1.7e+308:rad"}, junk=None)
+@example(values={"r": "342.244915322078", "gamma_2": "342.244915322078:kc"}, junk=None)
+def test_any_point_flags_end_in_an_exit_code(values, junk):
+    # each run returns an exit code, with at most one error line and no
+    # warning on the way, whatever the numbers and unit tags; a junk flag
+    # comes last, where argparse takes it over an earlier one
+    argv = [f"--{field.replace('_', '-')}={value}"
+            for field, value in [*values.items(), *([junk] if junk else [])]]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["point", *argv])
+    assert code in (0, 1, 2), (argv, code)
+    lines = err.getvalue().splitlines()
+    assert sum(line.startswith("error:") for line in lines) <= 1, (argv, lines)
+    if code == 0:
+        assert json.loads(out.getvalue())["stable"] is True
 
 
 TOP_USAGE = "usage: cavmag [-h] {point,sweep,figure,stability} ...\n"

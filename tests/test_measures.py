@@ -3,6 +3,7 @@ import collections
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import warnings
@@ -439,6 +440,11 @@ def residual_params():
     )
 
 
+# A point at which LAPACK's eigen-solve of the one-vs-two forms fails to
+# converge (cavmag point --r=5e-324 --temperature=93.76011927227091
+# --gamma-2=111088811935381.0:kc); the pair quantities alone solve there.
+LAPACK_FAILURE = dict(r=5e-324, temperature=93.76011927227091, gamma_2=111088811935381.0 * KAPPA_C)
+
 # Each refusal type that a valid point reaches, with no fakes: (change to
 # default_params(), error type, start of the message)
 REAL_REFUSALS = {
@@ -449,6 +455,10 @@ REAL_REFUSALS = {
     "non-finite D at r = 1000": (
         dict(r=1000.0), DomainError, "d contains non-finite entries"),
     "Lyapunov residual": (None, NumericalError, "Lyapunov residual "),
+    # the stacked one-vs-two eigen-solve does not converge; its LinAlgError
+    # once escaped full_report bare
+    "eigen-solve at r = 5e-324, 93.76 K": (
+        LAPACK_FAILURE, NumericalError, "eigenvalue iteration failed: Eigenvalues did not converge"),
 }
 
 
@@ -1119,20 +1129,22 @@ class TestStackedReport:
                 full_report(p, quantities=quantities)
 
     def test_stacked_lapack_failure_is_retried_one_point_at_a_time(self, monkeypatch):
-        real_det = numerics.det
+        # the one-vs-two eigen-solve of a stack fails as numerics raises a
+        # LAPACK failure; the drift's eigen-solve is 2-D
+        real_eigvals = numerics.eigvals
         failed = []
 
-        def det_of_one(a):
-            if a.shape[0] > 1:
+        def eigvals_of_one(a):
+            if a.ndim > 2 and a.shape[0] > 1:
                 failed.append(a.shape)
-                raise np.linalg.LinAlgError("synthetic failure of a stacked call")
-            return real_det(a)
+                raise NumericalError("eigenvalue iteration failed: synthetic failure")
+            return real_eigvals(a)
 
         points = [default_params().replace(r=r) for r in (0.1, 0.4, 0.7)]
         expected = self.cold_reports(points)
-        monkeypatch.setattr(numerics, "det", det_of_one)
+        monkeypatch.setattr(numerics, "eigvals", eigvals_of_one)
         got = full_report(points)
-        assert failed == [(3, 3, 4, 4)]  # the stacked call failed, once
+        assert failed == [(3, 4, 6, 6)]  # the stacked call failed, once
         assert [report_bits(r) for r in got] == [report_bits(r) for r in expected]
 
 
@@ -1243,3 +1255,48 @@ class TestStressDomain:
         for pair, a, b in (("c1c2", "c1", "c2"), ("mc1", "m", "c1"), ("mc2", "m", "c2")):
             if max(flat[f"zeta_{a}_{b}"], flat[f"zeta_{b}_{a}"]) > 0.0:
                 assert flat[f"e_n_{pair}"] > 0.0, pair
+
+
+# Rates over 45 decades in rad/s, and r and T from the ordinary range out to
+# where the bath moments overflow; unbounded boxes of valid inputs
+RATE = log_uniform(1e-15, 1e30)
+INPUT_BOX = dict(
+    kappa_1=RATE,
+    kappa_2=RATE,
+    kappa_m=RATE,
+    gamma_1=st.just(0.0) | RATE,
+    gamma_2=st.just(0.0) | RATE,
+    **{name: st.just(0.0) | RATE | RATE.map(operator.neg)
+       for name in ("delta_1", "delta_2", "delta_m")},
+    r=st.floats(0.0, 12.0) | log_uniform(1e-300, 1e3),
+    omega_m=RATE,
+    temperature=st.floats(0.0, 5.0) | log_uniform(1e-300, 1e300),
+)
+# One set of quantities per combination of the optional stages
+QUANTITY_KINDS = (("e_n_c1c2",), ("zeta_c1_c2",), ("r_tau_min",), measures.REPORT_COLUMNS)
+
+
+class TestInputContract:
+    """Every valid point ends in a report or in a refusal that holds it."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(changes=st.fixed_dictionaries({}, optional=INPUT_BOX),
+           quantities=st.sampled_from(QUANTITY_KINDS))
+    # once a bare LinAlgError, then numpy overflow warnings before the
+    # residual refusal and before the finiteness refusal
+    @example(changes=LAPACK_FAILURE, quantities=measures.REPORT_COLUMNS)
+    @example(changes=dict(kappa_m=1.7e308), quantities=measures.REPORT_COLUMNS)
+    @example(changes=dict(r=342.244915322078, gamma_2=342.244915322078 * KAPPA_C),
+             quantities=measures.REPORT_COLUMNS)
+    def test_full_report_returns_a_finite_report_or_a_refusal_of_its_point(
+        self, changes, quantities
+    ):
+        p = default_params().replace(**changes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = full_report(p, quantities=quantities)
+            except CavmagError as exc:
+                assert exc.point is p, exc
+            else:
+                assert all(map(math.isfinite, report.values.values())), report.values

@@ -423,6 +423,22 @@ class TestRunSweep:
             "r must be non-negative, got -1.0 [at grid point 0, indices (0,): r = -1.0]"
         )
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lapack_failure_names_its_grid_point(self, workers):
+        # no fakes: LAPACK's one-vs-two eigen-solve does not converge at
+        # 93.625 K, which once escaped as a bare LinAlgError naming no point;
+        # 17 points in steps of 1/8 K make 2 chunks, so 2 workers run a pool
+        base = default_params().replace(r=5e-324, gamma_2=111088811935381.0 * KAPPA_C)
+        spec = small_spec(base=base, axes=(AxisSpec("temperature", 93.0, 95.0, 17),),
+                          quantities=("r_tau_min",))
+        with pytest.raises(NumericalError) as alone:
+            full_report(base.replace(temperature=93.625))
+        assert str(alone.value).startswith("eigenvalue iteration failed: ")
+        with pytest.raises(NumericalError) as info:
+            run_sweep(spec, workers=workers)
+        where = "[at grid point 5, indices (5,): temperature = 93.625]"
+        assert str(info.value) == f"{alone.value} {where}"
+
     @pytest.mark.parametrize("quantities, flat_index", [
         (("e_n_c1c2",), 1), (("lambda_max",), 8),
     ], ids=["full report", "stability map"])
