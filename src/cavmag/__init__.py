@@ -21,7 +21,6 @@ from .errors import (
 )
 from .measures import REPORT_COLUMNS, CorrelationReport, full_report
 from .model import (
-    NoiseMoments,
     PhysicalParams,
     default_params,
     diffusion_matrix,
@@ -53,7 +52,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "FIGURE_IDS",
-    "NoiseMoments",
     "NumericalError",
     "PhysicalParams",
     "PhysicalityError",

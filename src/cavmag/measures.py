@@ -151,32 +151,10 @@ def log_negativity_one_vs_two(v, focus) -> float:
     return _pt_negativity(v, mask)
 
 
-def residual_contangle(v, focus) -> float:
-    """Residual contangle of the focus mode: E^2(u|vw) - E^2(u|v) - E^2(u|w).
-
-    Contangle is the squared logarithmic negativity. The raw value is
-    returned; tiny negatives are numerical, large ones would signal a
-    monogamy violation and are deliberately not hidden.
-    """
-    focus = as_mode(focus)
-    others = [m for m in Mode if m is not focus]
-    one_vs_two = log_negativity_one_vs_two(v, focus)
-    pairwise = [log_negativity(reduce(v, [focus, other])) for other in others]
-    return one_vs_two**2 - pairwise[0] ** 2 - pairwise[1] ** 2
-
-
 def _clamp_residual(smallest: float) -> float:
-    # zero within numerical noise clamps to zero; a real negative passes raw
+    # r_tau_min: zero within numerical noise clamps to zero; a real negative
+    # (a monogamy violation) passes raw
     return smallest if smallest < RESIDUAL_FLOOR else max(0.0, smallest)
-
-
-def min_residual_contangle(v) -> float:
-    """Minimum residual contangle over the three one-vs-two splits.
-
-    Clamped at zero when all three residuals are zero to within numerical
-    noise; a genuinely negative residual is passed through raw.
-    """
-    return _clamp_residual(min(residual_contangle(v, focus) for focus in Mode))
 
 
 def _require_positive_det(det_value: float, context: str):
@@ -203,20 +181,6 @@ def gaussian_steering(v, steerer, steered) -> float:
     det_ab = float(np.linalg.det(vab))
     _require_positive_det(det_ab, f"pair ({steerer.label}, {steered.label})")
     return max(0.0, 0.5 * math.log(det_a) - 0.5 * math.log(det_ab))
-
-
-def steering_asymmetry(v, a, b) -> float:
-    """Absolute difference of the two steering directions of a pair."""
-    return abs(gaussian_steering(v, a, b) - gaussian_steering(v, b, a))
-
-
-def classify_steering(z_ab: float, z_ba: float) -> str:
-    """Steering taxonomy of a pair: no-way, one-way or two-way."""
-    if z_ab > 0.0 and z_ba > 0.0:
-        return "two-way"
-    if z_ab > 0.0 or z_ba > 0.0:
-        return "one-way"
-    return "no-way"
 
 
 # The report row, shared by reports, sweeps and serialized grids: each

@@ -83,17 +83,6 @@ class PhysicalParams:
         _check_fields(fields, changes)
         return new
 
-    def swapped(self) -> "PhysicalParams":
-        """Same configuration with the two cavity labels exchanged."""
-        return self.replace(
-            kappa_1=self.kappa_2,
-            kappa_2=self.kappa_1,
-            gamma_1=self.gamma_2,
-            gamma_2=self.gamma_1,
-            delta_1=self.delta_2,
-            delta_2=self.delta_1,
-        )
-
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(PhysicalParams))
 _FIELD_SET = frozenset(_FIELD_NAMES)
@@ -160,20 +149,6 @@ def default_params() -> PhysicalParams:
     )
 
 
-@dataclass(frozen=True)
-class NoiseMoments:
-    """Second moments of the input noise.
-
-    big_n : mean photon number of the squeezed drive, sinh(r)^2
-    big_m : cross-correlation of the two drive rails, sinh(r) cosh(r)
-    n_m   : thermal occupation of the magnon bath
-    """
-
-    big_n: float
-    big_m: float
-    n_m: float
-
-
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1), exact 0 at T = 0.
 
@@ -195,18 +170,17 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def noise_moments(r: float, omega_m: float, temperature: float) -> NoiseMoments:
-    """Bath moments for squeezing r, magnon frequency omega_m and temperature T.
+def noise_moments(r: float, omega_m: float, temperature: float) -> tuple[float, float, float]:
+    """Bath moments (big_n, big_m, n_m) for squeezing r, magnon frequency
+    omega_m and temperature T.
 
-    The two-mode squeezed drive is minimum-uncertainty, so
-    big_m^2 = big_n (big_n + 1) holds identically. Both are inf from
-    r = 355 on (and math.sinh itself overflows from r = 710.48).
+    big_n = sinh(r)^2 is the mean photon number of the squeezed drive,
+    big_m = sinh(r) cosh(r) the cross-correlation of its two rails and n_m
+    the thermal occupation of the magnon bath. The drive is
+    minimum-uncertainty, so big_m^2 = big_n (big_n + 1) holds identically.
+    Both are inf from r = 355 on (and math.sinh itself overflows from
+    r = 710.48).
     """
-    return NoiseMoments(*_moments(r, omega_m, temperature))
-
-
-def _moments(r: float, omega_m: float, temperature: float) -> tuple[float, float, float]:
-    """noise_moments' (big_n, big_m, n_m) as a tuple, with its refusals."""
     if not r >= 0.0:
         raise DomainError(f"r must be non-negative, got {r}")
     try:
@@ -242,7 +216,7 @@ def diffusion_matrix(p: PhysicalParams) -> np.ndarray:
     correlations: +2M sqrt(k1 k2) on (X1, X2) and the opposite sign on
     (Y1, Y2).
     """
-    big_n, big_m, n_m = _moments(p.r, p.omega_m, p.temperature)  # no NoiseMoments per point
+    big_n, big_m, n_m = noise_moments(p.r, p.omega_m, p.temperature)
     d = np.zeros((6, 6))
     d[0, 0] = d[1, 1] = p.kappa_m * (2.0 * n_m + 1.0)
     d[2, 2] = d[3, 3] = p.kappa_1 * (2.0 * big_n + 1.0)

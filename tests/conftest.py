@@ -56,6 +56,14 @@ def random_params(rng, stiff=False) -> PhysicalParams:
     )
 
 
+def swapped(p: PhysicalParams) -> PhysicalParams:
+    """The same configuration with the two cavity labels exchanged."""
+    return p.replace(
+        kappa_1=p.kappa_2, kappa_2=p.kappa_1, gamma_1=p.gamma_2, gamma_2=p.gamma_1,
+        delta_1=p.delta_2, delta_2=p.delta_1,
+    )
+
+
 def count_lapack(monkeypatch, shapes=None) -> collections.Counter:
     """Count every LAPACK call from here on, by rebinding the functions.
 

@@ -100,10 +100,16 @@ def lyapunov_mp(m, d):
 
 
 def _pair_log_negativity(sigma):
-    """E_N of a two-mode mpmath CM [[A, C], [C^T, B]] from its block invariants."""
+    """E_N of a two-mode mpmath CM [[A, C], [C^T, B]] from its block invariants.
+
+    The discriminant Dt^2 - 4 det sigma is clamped at 0, as production
+    clamps it: where it is 0 exactly (a separable pair such as
+    [[1.25 I, 0.2 I], [0.2 I, 1.25 I]]) it can round below 0 at 50 digits.
+    """
     a, b, c = sigma[0:2, 0:2], sigma[2:4, 2:4], sigma[0:2, 2:4]
     delta = mpmath.det(a) + mpmath.det(b) - 2 * mpmath.det(c)
-    eta_sq = (delta - mpmath.sqrt(delta**2 - 4 * mpmath.det(sigma))) / 2
+    discriminant = max(mpmath.mpf(0), delta**2 - 4 * mpmath.det(sigma))
+    eta_sq = (delta - mpmath.sqrt(discriminant)) / 2
     return max(mpmath.mpf(0), -mpmath.log(4 * eta_sq) / 2)
 
 

@@ -366,9 +366,10 @@ class TestSweepCommand:
          "error: invalid sweep spec: axes.parameter: ['r'] not one of ['delta_1', 'delta_2', "
          "'delta_m', 'gamma_ratio', 'kappa_ratio', 'r', 'temperature'] (axis 0, ['r']); "
          "axes.count: must be >= 2, got 1 (axis 0, ['r'])"),
+        ([1, 2], "error: {path}: expected a JSON object, got list"),
     ], ids=["string bounds", "no axes", "preset not a string", "not UTF-8",
             "preset with other keys", "spec unknown key", "quantities a string",
-            "axis parameter a list"])
+            "axis parameter a list", "spec a list"])
     def test_malformed_spec_exits_1_with_one_line(self, capsys, tmp_path, spec, message):
         # string bounds, a list preset and a byte that is not UTF-8 used to
         # end in a traceback, keys beside the ones read were ignored, a
@@ -431,6 +432,7 @@ class TestFigureCommand:
         ("fig7a", "1", "axes.count: must be >= 2"),
         ("fig7a", "0", "axes.count: must be >= 2"),
         ("fig4a", "2x3x4", "expected 2 axis counts, got 3"),
+        ("fig4a", "3xa", "cannot parse grid specification '3xa' (expected N or NxM)"),
     ])
     def test_bad_grid_exits_1_without_file(self, capsys, tmp_path, figure_id, grid, message):
         out_path = tmp_path / "out.csv"
@@ -496,8 +498,10 @@ class TestStabilityCommand:
         assert scan.read_bytes() == figure.read_bytes()
 
     def test_bad_window_exits_1(self, capsys):
-        code, _, err = run_cli(capsys, "stability", "--window", "oops")
-        assert code == 1
+        assert run_cli(capsys, "stability", "--window", "oops") == (
+            1, "", "error: window must be lo:hi, got 'oops'\n")
+        assert run_cli(capsys, "stability", "--window=a:b") == (
+            1, "", "error: cannot parse window 'a:b'\n")
 
     def test_reversed_window_names_each_axis(self, capsys, tmp_path):
         # both axes once gave the same message without saying which is which

@@ -1,0 +1,37 @@
+import json
+from pathlib import Path
+
+from conftest import run_python
+
+TOOL = str(Path(__file__).resolve().parents[1] / "tools" / "identity.py")
+
+
+def test_smoke_dumps_on_one_and_two_workers_are_identical(tmp_path):
+    # the smoke grids are one chunk each, so even their progress lines agree
+    # (a grid of several chunks prints one progress line per chunk); the two
+    # sweeps that are refused run a pool on 2 workers
+    dumps = [tmp_path / "w1.json", tmp_path / "w2.json"]
+    for workers, out in zip((1, 2), dumps):
+        proc = run_python(TOOL, "dump", "--cases", "smoke", "--workers", str(workers),
+                          "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+    proc = run_python(TOOL, "diff", *map(str, dumps))
+    assert proc.returncode == 0, proc.stdout
+    cases = json.loads(dumps[0].read_text())["cases"]
+    assert proc.stdout.splitlines()[-1] == f"all {len(cases)} cases identical"
+    # a CLI run, a refusal and a report are among them
+    assert cases["cli sweep list.json"]["stderr"] == (
+        "error: list.json: expected a JSON object, got list\n"
+    )
+    assert cases["cli point"]["code"] == 0 and cases["cli point"]["files"] == {}
+    row = cases["stress 0"]["rows"][0]
+    assert row.pop("stable") is True and all(cell.startswith(("0x", "-0x")) for cell in row.values())
+
+    # one changed cell is reported by its case and key, with exit status 1
+    dumped = json.loads(dumps[1].read_text())
+    dumped["cases"]["stress 0"]["rows"][0]["nu_min"] = (0.5).hex()
+    dumps[1].write_text(json.dumps(dumped))
+    proc = run_python(TOOL, "diff", *map(str, dumps))
+    assert proc.returncode == 1
+    assert "differs: stress 0\n  record.rows[0].nu_min:\n" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == f"1 of {len(cases)} cases differ"

@@ -26,21 +26,17 @@ from cavmag.errors import (
 )
 from cavmag.measures import (
     Mode,
-    classify_steering,
     full_report,
     gaussian_steering,
     log_negativity,
     log_negativity_one_vs_two,
-    min_residual_contangle,
     reduce,
-    residual_contangle,
-    steering_asymmetry,
     symplectic_eigenvalues,
     symplectic_form,
 )
 from cavmag.model import TWO_PI, PhysicalParams, default_params, diffusion_matrix, drift_matrix
 from cavmag.steady_state import StabilityReport, solve_lyapunov
-from conftest import KAPPA_C, count_lapack, linalg_calls, random_params
+from conftest import KAPPA_C, count_lapack, linalg_calls, random_params, swapped
 from oracles import columns_mp, pair_log_negativity_mp
 
 GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "data", "golden_report.json")
@@ -102,6 +98,20 @@ def negativity_bounds(v, exact) -> dict:
         column: max(1e-12, scale * 2.0 * math.exp(exact[column]))
         for column in exact if column.startswith("e_n_")
     }
+
+
+def residual_contangle(v, focus) -> float:
+    """E^2(u|vw) - E^2(u|v) - E^2(u|w) of the focus mode u from the
+    reference negativities, raw: a large negative would be a monogamy
+    violation."""
+    u_vw = log_negativity_one_vs_two(v, focus)
+    u_v, u_w = (log_negativity(reduce(v, [focus, m])) for m in Mode if m is not focus)
+    return u_vw**2 - u_v**2 - u_w**2
+
+
+def min_residual_contangle(v) -> float:
+    """The smallest residual contangle, clamped as r_tau_min is."""
+    return measures._clamp_residual(min(residual_contangle(v, focus) for focus in Mode))
 
 
 def steady_state_cm(p):
@@ -174,9 +184,8 @@ KERNEL_NAMES = {
 SHARED_NAMES = {"_PAIRS", "_EPS", "PHYSICALITY_ATOL", "_require_heisenberg", "_clamp_residual"}
 REFERENCE_FUNCTIONS = (
     "as_mode", "symplectic_form", "reduce", "symplectic_eigenvalues", "_pt_negativity",
-    "log_negativity", "log_negativity_one_vs_two", "residual_contangle",
-    "min_residual_contangle", "_require_positive_det", "gaussian_steering",
-    "steering_asymmetry", "classify_steering",
+    "log_negativity", "log_negativity_one_vs_two", "_require_positive_det",
+    "gaussian_steering",
 )
 
 
@@ -354,13 +363,14 @@ class TestResidualContangle:
         assert min_residual_contangle(steady_state_cm(sideband_params())) > 0.0
 
     def test_min_is_clamped_only_near_zero(self, rng):
-        v = steady_state_cm(random_params(rng))
-        smallest = min(residual_contangle(v, focus) for focus in Mode)
-        clamped = min_residual_contangle(v)
+        rep = full_report(random_params(rng))
+        smallest = min(rep.residuals.values())
         if smallest >= -1e-9:
-            assert clamped == max(0.0, smallest)
+            assert rep.r_tau_min == max(0.0, smallest)
         else:  # pragma: no cover - would indicate a monogamy violation
-            assert clamped == smallest
+            assert rep.r_tau_min == smallest
+        for raw, clamped in [(-1e-8, -1e-8), (-1e-10, 0.0), (0.3, 0.3)]:
+            assert measures._clamp_residual(raw) == clamped
 
 
 class TestGaussianSteering:
@@ -386,7 +396,6 @@ class TestGaussianSteering:
         z_21 = gaussian_steering(v, Mode.CAVITY_2, Mode.CAVITY_1)
         assert z_12 > 0.0
         assert abs(z_12 - z_21) <= 1e-10
-        assert steering_asymmetry(v, Mode.CAVITY_1, Mode.CAVITY_2) <= 1e-10
 
     def test_asymmetric_decay_orders_directions(self):
         # faster-decaying second cavity: it steers the first one more strongly
@@ -395,12 +404,12 @@ class TestGaussianSteering:
         z_21 = gaussian_steering(v, Mode.CAVITY_2, Mode.CAVITY_1)
         z_12 = gaussian_steering(v, Mode.CAVITY_1, Mode.CAVITY_2)
         assert z_21 > z_12
-        assert steering_asymmetry(v, Mode.CAVITY_1, Mode.CAVITY_2) > 0.0
 
     def test_coupling_mismatch_breaks_symmetry(self):
         p = default_params().replace(gamma_2=0.7 * default_params().gamma_1)
         v = steady_state_cm(p)
-        assert steering_asymmetry(v, Mode.CAVITY_1, Mode.CAVITY_2) > 0.0
+        z_12 = gaussian_steering(v, Mode.CAVITY_1, Mode.CAVITY_2)
+        assert abs(z_12 - gaussian_steering(v, Mode.CAVITY_2, Mode.CAVITY_1)) > 0.0
 
     def test_steerability_implies_entanglement(self, rng):
         pairs = (
@@ -421,12 +430,9 @@ class TestGaussianSteering:
     def test_errors(self):
         with pytest.raises(DomainError):
             gaussian_steering(VACUUM_6, Mode.MAGNON, Mode.MAGNON)
-
-    def test_classification(self):
-        assert classify_steering(0.0, 0.0) == "no-way"
-        assert classify_steering(0.1, 0.0) == "one-way"
-        assert classify_steering(0.0, 0.1) == "one-way"
-        assert classify_steering(0.1, 0.2) == "two-way"
+        message = re.escape("non-positive determinant (0.000e+00) for reduced block of c1")
+        with pytest.raises(PhysicalityError, match=f"^{message}$"):
+            gaussian_steering(np.zeros((6, 6)), Mode.CAVITY_1, Mode.CAVITY_2)
 
 
 def residual_params():
@@ -505,8 +511,7 @@ class TestFullReport:
         assert rep.e_n["c1c2"] > 0.5
         assert rep.nu_min >= 0.5 - 1e-9
         assert rep.stability.max_real_part < 0.0
-        two_way = classify_steering(rep.steering["c1|c2"], rep.steering["c2|c1"])
-        assert two_way == "two-way"
+        assert rep.steering["c1|c2"] > 0.0 and rep.steering["c2|c1"] > 0.0  # two-way
 
     def test_residuals_match_direct_computation(self, rng):
         p = random_params(rng, stiff=True)
@@ -524,9 +529,9 @@ class TestFullReport:
         # draws from the box: 4.4e-14 relative, in nu_min
         p = stress_params(**point)
         rep = full_report(p).values
-        swapped = full_report(p.swapped()).values
+        relabelled = full_report(swapped(p)).values
         for column in measures.REPORT_COLUMNS:
-            x, y = rep[column], swapped[SWAPPED_COLUMNS.get(column, column)]
+            x, y = rep[column], relabelled[SWAPPED_COLUMNS.get(column, column)]
             # lambda_max within the eigen-solver's rounding, as in TestStressDomain
             bound = 1e-12 * (drift_norm(p) if column == "lambda_max" else max(1.0, abs(x)))
             assert abs(x - y) <= bound, column
@@ -699,7 +704,8 @@ class TestBatchedReport:
             for key, (a, b) in DIRECTION_MODES.items():
                 assert abs(rep.steering[key] - gaussian_steering(v, a, b)) <= 1e-12
             for key, (a, b) in PAIR_MODES.items():
-                assert abs(rep.asymmetry[key] - steering_asymmetry(v, a, b)) <= 1e-12
+                expected = abs(gaussian_steering(v, a, b) - gaussian_steering(v, b, a))
+                assert abs(rep.asymmetry[key] - expected) <= 1e-12
             assert abs(rep.nu_min - symplectic_eigenvalues(v)[0]) <= 1e-12
 
     @pytest.mark.parametrize("point", ["sideband, r = 0.01", "resonance, r = 0.05"])

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import itertools
 import math
 import re
@@ -20,7 +19,7 @@ from cavmag.model import (
     noise_moments,
     thermal_occupation,
 )
-from conftest import KAPPA_C, random_params
+from conftest import KAPPA_C, random_params, swapped
 
 # mode-swap permutation exchanging the two cavity quadrature pairs
 SWAP = np.zeros((6, 6))
@@ -31,33 +30,29 @@ SWAP[4, 2] = SWAP[5, 3] = 1.0
 
 class TestNoiseMoments:
     def test_no_squeezing(self):
-        mom = noise_moments(0.0, TWO_PI * 1e10, 0.0)
-        assert mom.big_n == 0.0
-        assert mom.big_m == 0.0
-        assert mom.n_m == 0.0
+        assert noise_moments(0.0, TWO_PI * 1e10, 0.0) == (0.0, 0.0, 0.0)
 
     def test_frozen_reference_values(self):
         # high-precision sinh/cosh evaluation (40-digit arithmetic)
-        mom = noise_moments(0.4, TWO_PI * 1e10, 0.0)
-        assert mom.big_n == pytest.approx(0.168717473152422299, rel=1e-14)
-        assert mom.big_m == pytest.approx(0.44405299109381150329, rel=1e-14)
-        mom = noise_moments(1.2, TWO_PI * 1e10, 0.0)
-        assert mom.big_n == pytest.approx(2.2784735834827535389, rel=1e-14)
-        assert mom.big_m == pytest.approx(2.7331146068380472872, rel=1e-14)
+        big_n, big_m, _ = noise_moments(0.4, TWO_PI * 1e10, 0.0)
+        assert big_n == pytest.approx(0.168717473152422299, rel=1e-14)
+        assert big_m == pytest.approx(0.44405299109381150329, rel=1e-14)
+        big_n, big_m, _ = noise_moments(1.2, TWO_PI * 1e10, 0.0)
+        assert big_n == pytest.approx(2.2784735834827535389, rel=1e-14)
+        assert big_m == pytest.approx(2.7331146068380472872, rel=1e-14)
 
     @pytest.mark.parametrize("r", [400.0, 710.47, 710.48, 1000.0])
     def test_moments_beyond_the_float_range_are_infinite(self, r):
         # sinh(r)^2 overflows from r = 355 and math.sinh itself from 710.48;
         # either way the moments are inf, which diffusion_matrix passes on
-        mom = noise_moments(r, TWO_PI * 1e10, 0.0)
-        assert (mom.big_n, mom.big_m) == (math.inf, math.inf)
+        assert noise_moments(r, TWO_PI * 1e10, 0.0)[:2] == (math.inf, math.inf)
 
     @pytest.mark.parametrize("omega, temperature", [(1e-300, 0.02), (1.0, math.inf)])
     def test_occupation_beyond_the_float_range_is_infinite(self, omega, temperature):
         # hbar w / k_B T rounds to 0, where 1/expm1 once raised a bare
         # ZeroDivisionError; the occupation is inf, as the moments above
         assert thermal_occupation(omega, temperature) == math.inf
-        assert noise_moments(0.4, omega, temperature).n_m == math.inf
+        assert noise_moments(0.4, omega, temperature)[2] == math.inf
         assert thermal_occupation(omega, 0.0) == 0.0
 
     def test_thermal_occupation_reference_value(self):
@@ -75,9 +70,9 @@ class TestNoiseMoments:
 
     @pytest.mark.parametrize("r", np.linspace(0.0, 3.0, 31))
     def test_minimum_uncertainty_bath(self, r):
-        mom = noise_moments(r, TWO_PI * 1e10, 0.0)
-        target = mom.big_n * (mom.big_n + 1.0)
-        assert abs(mom.big_m**2 - target) <= 1e-12 * max(1.0, target)
+        big_n, big_m, _ = noise_moments(r, TWO_PI * 1e10, 0.0)
+        target = big_n * (big_n + 1.0)
+        assert abs(big_m**2 - target) <= 1e-12 * max(1.0, target)
 
     def test_occupation_monotonic_in_temperature(self):
         omega = TWO_PI * 1e10
@@ -154,7 +149,7 @@ class TestPhysicalParams:
 
     def test_swapped_roundtrip(self, rng):
         p = random_params(rng)
-        assert p.swapped().swapped() == p
+        assert swapped(swapped(p)) == p
 
     def test_replace_stores_and_refuses_as_the_constructor(self, rng):
         # every field against a table of values: replace, which checks only
@@ -251,7 +246,7 @@ class TestDriftMatrix:
         for _ in range(10):
             p = random_params(rng)
             assert np.array_equal(
-                SWAP @ drift_matrix(p) @ SWAP.T, drift_matrix(p.swapped())
+                SWAP @ drift_matrix(p) @ SWAP.T, drift_matrix(swapped(p))
             )
 
 
@@ -281,16 +276,14 @@ class TestDiffusionMatrix:
     def test_bath_state_is_physical(self, rng):
         # the input-noise covariance behind D must satisfy the uncertainty
         # relation sigma + i Omega / 2 >= 0
-        from cavmag.model import noise_moments as moments
-
         for _ in range(20):
             p = random_params(rng)
-            mom = moments(p.r, p.omega_m, p.temperature)
+            big_n, big_m, n_m = noise_moments(p.r, p.omega_m, p.temperature)
             sigma = np.zeros((6, 6))
-            sigma[0, 0] = sigma[1, 1] = mom.n_m + 0.5
-            sigma[2, 2] = sigma[3, 3] = sigma[4, 4] = sigma[5, 5] = mom.big_n + 0.5
-            sigma[2, 4] = sigma[4, 2] = mom.big_m
-            sigma[3, 5] = sigma[5, 3] = -mom.big_m
+            sigma[0, 0] = sigma[1, 1] = n_m + 0.5
+            sigma[2, 2] = sigma[3, 3] = sigma[4, 4] = sigma[5, 5] = big_n + 0.5
+            sigma[2, 4] = sigma[4, 2] = big_m
+            sigma[3, 5] = sigma[5, 3] = -big_m
             herm = sigma + 0.5j * symplectic_form(3)
             assert np.linalg.eigvalsh(herm).min() >= -1e-10
 
@@ -298,23 +291,22 @@ class TestDiffusionMatrix:
         for _ in range(10):
             p = random_params(rng)
             assert np.array_equal(
-                SWAP @ diffusion_matrix(p) @ SWAP.T, diffusion_matrix(p.swapped())
+                SWAP @ diffusion_matrix(p) @ SWAP.T, diffusion_matrix(swapped(p))
             )
 
     def test_matches_the_public_noise_moments_bit_for_bit(self, rng):
-        # diffusion_matrix reads the moments without building a NoiseMoments;
         # over stress-box draws (rates in kappa_c, log-uniform), the inf
         # moments from r = 355 on and the inf occupation where hbar w
-        # underflows, D is the one built from noise_moments, signed zeros
-        # included; the tuple also matches at T = inf, which no
-        # PhysicalParams holds
+        # underflows, D is the one assembled here from noise_moments,
+        # signed zeros included; the tuple is sinh^2, sinh cosh and the
+        # occupation also at T = inf, which no PhysicalParams holds
         def reference(p):
-            mom = noise_moments(p.r, p.omega_m, p.temperature)
+            big_n, big_m, n_m = noise_moments(p.r, p.omega_m, p.temperature)
             d = np.zeros((6, 6))
-            d[0, 0] = d[1, 1] = p.kappa_m * (2.0 * mom.n_m + 1.0)
-            d[2, 2] = d[3, 3] = p.kappa_1 * (2.0 * mom.big_n + 1.0)
-            d[4, 4] = d[5, 5] = p.kappa_2 * (2.0 * mom.big_n + 1.0)
-            cross = 2.0 * mom.big_m * math.sqrt(p.kappa_1 * p.kappa_2)
+            d[0, 0] = d[1, 1] = p.kappa_m * (2.0 * n_m + 1.0)
+            d[2, 2] = d[3, 3] = p.kappa_1 * (2.0 * big_n + 1.0)
+            d[4, 4] = d[5, 5] = p.kappa_2 * (2.0 * big_n + 1.0)
+            cross = 2.0 * big_m * math.sqrt(p.kappa_1 * p.kappa_2)
             d[2, 4] = d[4, 2] = cross
             d[3, 5] = d[5, 3] = -cross
             return d
@@ -336,6 +328,9 @@ class TestDiffusionMatrix:
         points += [default_params().replace(omega_m=1e-300), default_params().replace(r=0.0)]
         for p in points:
             assert diffusion_matrix(p).tobytes() == reference(p).tobytes(), p
-        for args in [(0.4, TWO_PI * 1e10, math.inf), (400.0, 1.0, math.inf), (0.0, 1e-300, 0.02)]:
-            assert model._moments(*args) == dataclasses.astuple(noise_moments(*args))
+        for r, omega, temperature in [(0.4, TWO_PI * 1e10, math.inf), (400.0, 1.0, math.inf),
+                                      (0.0, 1e-300, 0.02)]:
+            s, c = math.sinh(r), math.cosh(r)
+            expected = (s * s, s * c, thermal_occupation(omega, temperature))
+            assert noise_moments(r, omega, temperature) == expected
 

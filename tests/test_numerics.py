@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,12 @@ class TestEigGeneral:
         with pytest.raises(DimensionError):
             eig_general(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 3)])
+    def test_rejects_other_than_2d(self, shape):
+        message = re.escape(f"matrix must be 2-D, got shape {shape}")
+        with pytest.raises(DimensionError, match=message):
+            eig_general(np.zeros(shape))
+
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             eig_general([[np.nan, 0.0], [0.0, 1.0]])
@@ -242,6 +249,10 @@ class TestSolveLinear:
     def test_rejects_empty(self):
         with pytest.raises(DimensionError, match="must not be empty"):
             solve_linear(np.zeros((0, 0)), np.zeros(0))
+
+    def test_rejects_non_finite_rhs(self):
+        with pytest.raises(DomainError, match="^rhs contains non-finite entries$"):
+            solve_linear(np.eye(3), [1.0, np.nan, 0.0])
 
     def test_importing_the_package_leaves_scipy_unloaded(self):
         # scipy.linalg is imported by solve_linear alone, which no production

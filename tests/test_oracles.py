@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cavmag
+from cavmag import measures
 from cavmag.errors import DimensionError, DomainError, StabilityError
 from oracles import StepSizeError, columns_mp, integrate_lyapunov_ode
 from test_measures import tmsv
@@ -15,7 +16,7 @@ ORACLES = os.path.join(os.path.dirname(__file__), "oracles.py")
 # What `import cavmag` exports: the production API and nothing else.
 PRODUCTION_API = [
     "AxisSpec", "CavmagError", "ConfigError", "CorrelationReport", "DimensionError",
-    "DomainError", "FIGURE_IDS", "NoiseMoments", "NumericalError", "PhysicalParams",
+    "DomainError", "FIGURE_IDS", "NumericalError", "PhysicalParams",
     "PhysicalityError", "REPORT_COLUMNS", "SingularMatrixError", "StabilityError",
     "StabilityReport", "SweepResult", "SweepSpec", "ValidationError", "__version__",
     "default_params", "diffusion_matrix", "drift_matrix", "figure_preset", "full_report",
@@ -95,6 +96,19 @@ class TestColumnsMp:
         )
         for column, value in expected.items():
             assert abs(columns[column] - value) <= 1e-14, column
+
+    @pytest.mark.parametrize("a, c", [(1.25, 0.2), (1.25, 0.7), (1.5, 0.7), (2.5, 0.4)])
+    def test_separable_pair_on_a_zero_discriminant(self, a, c):
+        # vacuum magnon, cavities [[a I, c I], [c I, a I]]: Dt^2 - 4 det sigma
+        # of the c1c2 pair is 0 exactly, and rounded below 0 at 50 digits,
+        # where the oracle's square root once gave a complex number
+        v = 0.5 * np.eye(6)
+        v[2:, 2:] = np.kron(np.array([[a, c], [c, a]]), np.eye(2))
+        columns = columns_mp(v)
+        row = dict(zip(measures.REPORT_COLUMNS, measures._measures(v[None])[0]))
+        assert list(columns) == list(measures.REPORT_COLUMNS[:-1])
+        for column, value in columns.items():
+            assert abs(row[column] - value) <= 1e-12, column
 
 
 class TestPackageBoundary:

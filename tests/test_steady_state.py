@@ -12,7 +12,7 @@ from cavmag.errors import DimensionError, DomainError, StabilityError
 from cavmag.measures import full_report, symplectic_eigenvalues
 from cavmag.model import default_params, diffusion_matrix, drift_matrix
 from cavmag.steady_state import LYAPUNOV_RESIDUAL_RTOL, solve_lyapunov, stability
-from conftest import KAPPA_C, random_params
+from conftest import KAPPA_C, random_params, swapped
 from oracles import integrate_lyapunov_ode, lyapunov_mp
 from test_measures import report_bits
 from test_model import SWAP
@@ -88,7 +88,7 @@ class TestSolveLyapunov:
             p = random_params(rng)
             v, _ = solve_lyapunov(drift_matrix(p), diffusion_matrix(p))
             v_swapped, _ = solve_lyapunov(
-                drift_matrix(p.swapped()), diffusion_matrix(p.swapped())
+                drift_matrix(swapped(p)), diffusion_matrix(swapped(p))
             )
             assert np.abs(SWAP @ v @ SWAP.T - v_swapped).max() <= 1e-10
 
