@@ -15,6 +15,7 @@ import enum
 import itertools
 import math
 import operator
+import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -475,19 +476,31 @@ def full_report(
     return [full_report(p, quantities=quantities) for p in points]
 
 
+# The eight fields that make up the drift matrix. Each of its entries is one
+# of them, its negation or 0.0, so two points have the same drift bytes
+# exactly when these fields have the same bits (+0.0 and -0.0 kept apart).
+_DRIFT_FIELDS = operator.attrgetter(
+    "kappa_m", "delta_m", "gamma_1", "gamma_2", "kappa_1", "delta_1", "kappa_2", "delta_2"
+)
+_DRIFT_KEY = struct.Struct("8d").pack
+
+
 def _reports(points: list, stages: tuple) -> list:
     """The reports of a non-empty stack of points, in its order: one
-    solve_lyapunov call per distinct drift, on the diffusion matrices of
-    the points that share it wherever they sit, and one _measures call
-    with the optional stages (one_vs_two, steering) that stages holds. Every
+    drift_matrix and one solve_lyapunov call per distinct drift (keyed by
+    the bits of its _DRIFT_FIELDS), on the diffusion matrices of the points
+    that share it wherever they sit, and one _measures call with the
+    optional stages (one_vs_two, steering) that stages holds. Every
     floating-point flag is ignored, since each ends in a named refusal: an
     overflow in solve_lyapunov in its residual bound, and one in G, det or
     a logarithm of _measures in the finiteness test of _row."""
     with np.errstate(all="ignore"):
-        groups = {}  # the drift's bytes: (drift, its points' positions, their D)
+        groups = {}  # the drift fields' bits: (drift, its points' positions, their D)
         for i, p in enumerate(points):
-            m = model.drift_matrix(p)
-            _, positions, diffusions = groups.setdefault(m.tobytes(), (m, [], []))
+            key = _DRIFT_KEY(*_DRIFT_FIELDS(p))
+            if key not in groups:
+                groups[key] = (model.drift_matrix(p), [], [])
+            _, positions, diffusions = groups[key]
             positions.append(i)
             diffusions.append(model.diffusion_matrix(p))
         stacks, placed = [], []  # placed: (position, stability report) per V

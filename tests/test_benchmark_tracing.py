@@ -50,8 +50,8 @@ def test_full_report_solves_the_drift_spectrum_once():
 def test_traced_serial_sweep_counts_each_layer():
     # the per-layer figures are counted through these names: a point of a
     # two-axis grid builds its parameters twice and gives one row, and the
-    # sweep's one chunk (a chunk holds at least 8 points) takes one
-    # full_report call
+    # sweep's one chunk (a grid of fewer than 64 points is one chunk) takes
+    # one full_report call
     spec = with_resolution(figure_preset("fig4a"), (3, 3))
     with tracing.Tracer() as tracer:
         run_sweep(spec, workers=1)

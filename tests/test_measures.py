@@ -972,7 +972,7 @@ class TestStackedReport:
     def cold_reports(self, points):
         return [full_report(p) for p in points]
 
-    def test_stack_matches_points_one_at_a_time(self):
+    def test_stack_matches_points_one_at_a_time(self, monkeypatch):
         with open(GOLDEN_REPORT, encoding="utf-8") as handle:
             golden = json.load(handle)["points"]
         golden = [PhysicalParams(**e["params"]) for e in golden if not e.get("forced_unstable")]
@@ -992,11 +992,23 @@ class TestStackedReport:
         interleaved = [
             base.replace(r=r, gamma_2=x * base.gamma_1) for r in (0.1, 0.4) for x in (0.5, 1.0, 1.5)
         ]
-        for points in (golden, mixed, interleaved):
+        # points that differ only in r and in the sign of a zero delta_1:
+        # the drift key keeps +0.0 and -0.0 apart, so two drift groups
+        signed = [base.replace(r=r, delta_1=zero) for r in (0.1, 0.6) for zero in (0.0, -0.0)]
+        real_stability = measures.steady_state.stability
+        drifts = []
+        monkeypatch.setattr(measures.steady_state, "stability",
+                            lambda m: drifts.append(m) or real_stability(m))
+        solves = []
+        for points in (golden, mixed, interleaved, signed):
+            drifts.clear()
             stacked = full_report(points)
+            solves.append(len(drifts))
             assert isinstance(stacked, list) and len(stacked) == len(points)
             for got, expected in zip(stacked, self.cold_reports(points)):
                 assert report_bits(got) == report_bits(expected)
+        # one drift eigen-solve per distinct drift of each stack
+        assert solves[1:] == [4, 3, 2]
         assert full_report(()) == []
 
     def test_one_lapack_call_per_drift_group(self, monkeypatch):

@@ -221,16 +221,22 @@ class TestRunSweep:
             axes=(AxisSpec("r", 0.0, 1.0, 2), AxisSpec("temperature", 0.0, 2.0, 3)),
             quantities=("e_n_c1c2",),
         )
-        grid = run_sweep(spec).grid("e_n_c1c2")
+        result = run_sweep(spec)
+        grid = result.grid("e_n_c1c2")
         assert grid.shape == (2, 3)
         assert np.all(grid[0, :] == 0.0)
+        # an unknown column once raised tuple.index's bare ValueError
+        message = "unknown column 'nope'; valid columns: r, temperature, e_n_c1c2, stable"
+        for read in (result.column, result.grid):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                read("nope")
 
     def test_shared_drift_rows_match_cold_solves(self, monkeypatch):
-        # an r x T sweep has one drift: each of the 3 chunks of a 5x5 grid
-        # solves its spectrum and operator once for all of the chunk's
-        # points, and each cell is the one a solve from scratch gives, to
-        # the last bit
-        spec = replace(with_resolution(figure_preset("fig4a"), (5, 5)), quantities=REPORT_COLUMNS)
+        # an r x T sweep has one drift: each of the 3 chunks of an 8x12
+        # grid (32 points each) solves its spectrum and operator once for
+        # all of the chunk's points, and each cell is the one a solve from
+        # scratch gives, to the last bit
+        spec = replace(with_resolution(figure_preset("fig4a"), (8, 12)), quantities=REPORT_COLUMNS)
         real_stability = steady_state.stability
         warm_solves = []
 
@@ -249,13 +255,14 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_mod, "full_report", cold_report)
         cold = run_sweep(spec).rows
-        assert len(warm) == len(cold) == 25
+        assert len(warm) == len(cold) == spec.size
         for warm_row, cold_row in zip(warm, cold):
             assert warm_row[-1] is cold_row[-1]
             assert [x.hex() for x in warm_row[:-1]] == [x.hex() for x in cold_row[:-1]]
 
     def test_parallel_matches_serial(self):
-        spec = with_resolution(figure_preset("fig4a"), (5, 5))
+        # 64 points make 2 chunks, so 2 workers run a pool
+        spec = with_resolution(figure_preset("fig4a"), (8, 8))
         serial = run_sweep(spec, workers=1)
         parallel = run_sweep(spec, workers=2)
         assert serial.rows == parallel.rows
@@ -309,8 +316,8 @@ class TestRunSweep:
         monkeypatch.setattr(
             AxisSpec, "values", lambda ax: calls.append(ax) or real_values(ax)
         )
-        # 16 points make 2 chunks, so 2 workers run a pool
-        spec = with_resolution(figure_preset("fig4a"), (4, 4))
+        # 64 points make 2 chunks, so 2 workers run a pool
+        spec = with_resolution(figure_preset("fig4a"), (8, 8))
         for workers in (1, 2):
             calls.clear()
             run_sweep(spec, workers=workers)
@@ -318,10 +325,11 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_point_failure_names_its_grid_location(self, monkeypatch, workers):
-        # 27 points make 3 chunks, so 2 workers run a pool
+        # 99 points make 3 chunks, so 2 workers run a pool; the centre
+        # point is in the second chunk
         spec = SweepSpec(
             base=default_params(),
-            axes=(AxisSpec("r", 0.0, 1.0, 3), AxisSpec("temperature", 0.0, 2.0, 9)),
+            axes=(AxisSpec("r", 0.0, 1.0, 3), AxisSpec("temperature", 0.0, 2.0, 33)),
             quantities=("e_n_c1c2",),
         )
         fail_at_centre = failing_report(lambda p: p.r == 0.5 and p.temperature == 1.0)
@@ -330,20 +338,20 @@ class TestRunSweep:
             run_sweep(spec, workers=workers)
         message = str(info.value)
         assert "synthetic failure" in message
-        assert "grid point 13, indices (1, 4): r = 0.5, temperature = 1.0" in message
+        assert "grid point 49, indices (1, 16): r = 0.5, temperature = 1.0" in message
 
     def test_parallel_failure_cancels_the_chunks_not_started(self, monkeypatch, tmp_path):
-        # 128 points in 16 chunks of 8; the first point fails at once and
-        # every other point takes 20 ms, so a pool that finished its queued
+        # 512 points in 16 chunks of 32; the first point fails at once and
+        # every other point takes 4 ms, so a pool that finished its queued
         # chunks before raising would evaluate nearly all of them
-        spec = small_spec(axes=(AxisSpec("r", 0.0, 1.0, 128),))
+        spec = small_spec(axes=(AxisSpec("r", 0.0, 1.0, 512),))
         log = tmp_path / "evaluated.txt"
 
         def slow_report(points, **kwargs):
             for params in points:
                 with open(log, "a", encoding="utf-8") as handle:
                     handle.write(f"{params.r!r}\n")
-                time.sleep(0.02)
+                time.sleep(0.004)
             return full_report(points, **kwargs)
 
         fail_first = failing_report(lambda p: p.r == 0.0, slow_report)
@@ -376,7 +384,7 @@ class TestRunSweep:
 
     def test_late_refusal_is_raised_before_a_later_instability(self):
         # no fakes: point 0 (r = 9 at 2 K) is refused by the conditioning
-        # check of the measures and point 1, in the same chunk of eight, by
+        # check of the measures and point 1, in the same chunk, by
         # the stability check, which the chunk's stacked evaluation reaches
         # first; the sweep raises point 0's refusal, as one point at a time
         base = default_params().replace(r=9.0, temperature=2.0)
@@ -394,9 +402,9 @@ class TestRunSweep:
         assert str(info.value) == f"{alone.value} {where}"
 
     def test_failing_point_is_evaluated_once_per_retry(self, monkeypatch):
-        # the chunk's stack of eight, then the point alone in full_report's
-        # retry, whose error holds the point the sweep names; the sweep does
-        # not evaluate it again
+        # the first chunk's stack of 32 (of 64 points), then the point alone
+        # in full_report's retry, whose error holds the point the sweep
+        # names; the sweep does not evaluate it again
         sizes = []
         real_reports = measures._reports
 
@@ -406,17 +414,17 @@ class TestRunSweep:
 
         monkeypatch.setattr(measures, "_reports", recorded)
         base = default_params().replace(r=9.0, temperature=2.0)
-        spec = small_spec(base=base, axes=(AxisSpec("gamma_ratio", 1.0, 1.5e17, 16),))
+        spec = small_spec(base=base, axes=(AxisSpec("gamma_ratio", 1.0, 1.5e17, 64),))
         with pytest.raises(NumericalError, match=re.escape("[at grid point 0, ")):
             run_sweep(spec)
-        assert sizes == [8, 1]
+        assert sizes == [32, 1]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unbuildable_parameters_name_their_grid_point(self, workers):
         # no fakes: r = -1 is refused while the first point's parameters
-        # are built, before any evaluation; 16 points make 2 chunks, so 2
+        # are built, before any evaluation; 64 points make 2 chunks, so 2
         # workers run a pool
-        spec = small_spec(axes=(AxisSpec("r", -1.0, 1.0, 16),))
+        spec = small_spec(axes=(AxisSpec("r", -1.0, 1.0, 64),))
         with pytest.raises(DomainError) as info:
             run_sweep(spec, workers=workers)
         assert str(info.value) == (
@@ -427,9 +435,9 @@ class TestRunSweep:
     def test_lapack_failure_names_its_grid_point(self, workers):
         # no fakes: LAPACK's one-vs-two eigen-solve does not converge at
         # 93.625 K, which once escaped as a bare LinAlgError naming no point;
-        # 17 points in steps of 1/8 K make 2 chunks, so 2 workers run a pool
+        # 64 points in steps of 1/8 K make 2 chunks, so 2 workers run a pool
         base = default_params().replace(r=5e-324, gamma_2=111088811935381.0 * KAPPA_C)
-        spec = small_spec(base=base, axes=(AxisSpec("temperature", 93.0, 95.0, 17),),
+        spec = small_spec(base=base, axes=(AxisSpec("temperature", 93.0, 100.875, 64),),
                           quantities=("r_tau_min",))
         with pytest.raises(NumericalError) as alone:
             full_report(base.replace(temperature=93.625))
@@ -440,24 +448,24 @@ class TestRunSweep:
         assert str(info.value) == f"{alone.value} {where}"
 
     @pytest.mark.parametrize("quantities, flat_index", [
-        (("e_n_c1c2",), 1), (("lambda_max",), 8),
+        (("e_n_c1c2",), 1), (("lambda_max",), 40),
     ], ids=["full report", "stability map"])
     def test_refusal_before_an_unbuildable_point_is_raised_first(self, quantities, flat_index):
         # no fakes: gamma_2 = gamma_ratio * gamma_1 overflows to inf from
-        # point 8 on, and points 1 to 7 are not Hurwitz stable. The sweep
+        # point 40 on, and points 1 to 39 are not Hurwitz stable. The sweep
         # names the first point that fails one at a time, since a chunk
         # evaluates the points before an unbuildable one before it raises.
-        # 72 points make chunks of 9 serially and of 8 on 2 workers, so only
-        # the serial first chunk holds point 8: naming the unbuildable point
-        # at once would make the named point depend on the worker count. A
-        # stability map refuses no drift, so it names point 8
+        # 512 points make chunks of 64 serially and of 32 on 2 workers, so
+        # only the serial first chunk holds point 40: naming the unbuildable
+        # point at once would make the named point depend on the worker
+        # count. A stability map refuses no drift, so it names point 40
         base = default_params()
-        spec = small_spec(axes=(AxisSpec("gamma_ratio", 1.0, 1.35e301, 72),), quantities=quantities)
+        spec = small_spec(axes=(AxisSpec("gamma_ratio", 1.0, 1.84e301, 512),), quantities=quantities)
         values = spec.axes[0].values().tolist()
-        assert values[7] * base.gamma_1 < math.inf == values[8] * base.gamma_1
+        assert values[39] * base.gamma_1 < math.inf == values[40] * base.gamma_1
         with pytest.raises(CavmagError) as alone:
-            if flat_index == 8:
-                apply_axis_value(base, "gamma_ratio", values[8])
+            if flat_index == 40:
+                apply_axis_value(base, "gamma_ratio", values[40])
             else:
                 full_report(apply_axis_value(base, "gamma_ratio", values[1]))
         where = (f"[at grid point {flat_index}, indices ({flat_index},): "
@@ -506,23 +514,24 @@ class TestRunSweep:
         assert message.endswith("[at grid point 0, indices (0,): r = 0.0]")
 
     def test_lapack_calls_per_chunk(self, monkeypatch):
-        # a serial 5x5 sweep runs 3 chunks (8, 8 and 9 points), one call of
-        # each per chunk and one drift spectrum per chunk for the shared
-        # drift, where one call per point made 25 of each; the stacked
-        # spectra hold V's alone unless a column reads the one-vs-two splits
+        # a serial 10x10 sweep runs 3 chunks (33, 33 and 34 points), one
+        # call of each per chunk and one drift spectrum per chunk for the
+        # shared drift, where one call per point made 100 of each; the
+        # stacked spectra hold V's alone unless a column reads the
+        # one-vs-two splits
         shapes = []
         calls = count_lapack(monkeypatch, shapes)
 
         def spectra_shapes():
             return [shape for name, shape in shapes if name == "eigvals" and len(shape) == 4]
 
-        run_sweep(with_resolution(figure_preset("fig4a"), (5, 5)), workers=1)
+        run_sweep(with_resolution(figure_preset("fig4a"), (10, 10)), workers=1)
         assert linalg_calls(calls) == {}
         assert calls == {"solve": 3, "eigvalsh": 3, "det": 3, "eigvals": 6}
-        assert spectra_shapes() == [(8, 1, 6, 6), (8, 1, 6, 6), (9, 1, 6, 6)]
+        assert spectra_shapes() == [(33, 1, 6, 6), (33, 1, 6, 6), (34, 1, 6, 6)]
         shapes.clear()
-        run_sweep(with_resolution(figure_preset("fig5a"), (5, 5)), workers=1)
-        assert spectra_shapes() == [(8, 4, 6, 6), (8, 4, 6, 6), (9, 4, 6, 6)]
+        run_sweep(with_resolution(figure_preset("fig5a"), (10, 10)), workers=1)
+        assert spectra_shapes() == [(33, 4, 6, 6), (33, 4, 6, 6), (34, 4, 6, 6)]
 
     # every preset, then each column alone on fig5a, so a column on the
     # wrong side of the one-vs-two stage differs from the full report
@@ -533,8 +542,8 @@ class TestRunSweep:
     def test_cells_match_points_one_at_a_time(self, figure_id, quantities):
         spec = figure_preset(figure_id)
         if quantities is None:
-            # 16 points make 2 chunks, so 2 workers run a pool
-            spec = with_resolution(spec, (4, 4) if len(spec.axes) == 2 else (16,))
+            # 64 points make 2 chunks, so 2 workers run a pool
+            spec = with_resolution(spec, (8, 8) if len(spec.axes) == 2 else (64,))
         else:
             spec = replace(with_resolution(spec, (3, 3)), quantities=quantities)
         expected = []
@@ -553,25 +562,26 @@ class TestRunSweep:
                 assert [x.hex() for x in row[:-1]] == [x.hex() for x in want[:-1]], workers
 
     def test_progress_reported(self):
-        spec = with_resolution(figure_preset("fig4a"), (4, 4))
+        # 96 points make 3 chunks, so each run reports 3 times
+        spec = with_resolution(figure_preset("fig4a"), (8, 12))
         for workers in (1, 2):
             calls = []
             run_sweep(spec, workers=workers,
                       progress=lambda done, total: calls.append((done, total)))
-            done = [d for d, _ in calls]
-            assert all(a < b for a, b in zip(done, done[1:])), (workers, calls)
-            assert all(total == 16 for _, total in calls), (workers, calls)
-            assert calls[-1] == (16, 16), (workers, calls)
+            assert calls == [(32, 96), (64, 96), (96, 96)], workers
 
     @pytest.mark.parametrize("shape, workers, done", [
         ((9,), 1, [9]),
-        ((5, 5), 1, [8, 16, 25]),
-        ((64,), 2, [8, 16, 24, 32, 40, 48, 56, 64]),
+        ((5, 5), 1, [25]),
+        ((512,), 2, [32 * k for k in range(1, 17)]),
         ((101, 101), 1, [1275, 2550, 3825, 5100, 6375, 7650, 8925, 10201]),
+        ((401,), 2, [401 * k // 12 for k in range(1, 13)]),
+        ((21,), 1, [21]),
+        ((21, 21), 2, [441 * k // 13 for k in range(1, 14)]),
     ])
     def test_chunk_bounds(self, monkeypatch, shape, workers, done):
-        # at most 8 chunks per worker and at least 8 points per chunk, so
-        # each chunk's drift stage is shared by 8 or more points
+        # at most 8 chunks per worker and at least 32 points per chunk, so
+        # each chunk's drift stage is shared by 32 or more points
         class Report:
             def as_dict(self):
                 return dict.fromkeys(("e_n_c1c2", "stable"), 0.0)
@@ -585,11 +595,12 @@ class TestRunSweep:
         assert calls == [(d, spec.size) for d in done]
 
     @pytest.mark.parametrize("size, workers, pool", [
-        (16, 5000, 2), (9, 5000, None), (64, 3, 3), (25, 2, 2),
+        (64, 5000, 2), (9, 5000, None), (128, 3, 3), (25, 2, None),
     ])
     def test_pool_has_at_most_one_worker_per_chunk(self, monkeypatch, size, workers, pool):
         # a fork-started pool starts all of its processes at the first
-        # submit, so 5000 workers on 2 chunks once forked 5000 processes
+        # submit, so 5000 workers on 2 chunks once forked 5000 processes;
+        # a grid of fewer than 64 points is one chunk and starts no pool
         started = []
 
         class RecordingPool:
@@ -691,6 +702,9 @@ class TestFigurePresets:
         assert spec.size == 121
         with pytest.raises(ValidationError):
             with_resolution(spec, (5,))
+        # a bare count once raised tuple()'s TypeError
+        with pytest.raises(ValidationError, match=r"^counts: expected one count per axis, got 5$"):
+            with_resolution(spec, 5)
 
     @pytest.mark.parametrize("count", [3.7, "5"])
     def test_with_resolution_refuses_non_integer_counts(self, count):
@@ -832,7 +846,8 @@ class TestSerialization:
         assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_across_worker_counts(self, tmp_path):
-        spec = with_resolution(figure_preset("fig4a"), (7, 7))
+        # 64 points make 2 chunks, so 2 workers run a pool
+        spec = with_resolution(figure_preset("fig4a"), (8, 8))
         path_1 = tmp_path / "w1.csv"
         path_2 = tmp_path / "w2.csv"
         write_csv(run_sweep(spec, workers=1), path_1)

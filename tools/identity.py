@@ -11,7 +11,9 @@ count. N (default 1) is passed as --workers to every grid command.
 
 Each case has an id and a record:
 - a CLI run (cavmag.cli.main in a fresh directory): the exit code, stdout,
-  stderr and the sha256 of every file it wrote;
+  the progress lines of stderr (`<label>: N/M points`, one per sweep chunk)
+  under progress and the rest of stderr under stderr, and the sha256 of
+  every file it wrote;
 - a library call (full_report or run_sweep): the float.hex of every column,
   or the refusal's type, message and point, and any warning it raised.
 
@@ -23,7 +25,8 @@ of each.
 
 diff prints the first ten differing cases and exits 1, or says that every case
 is identical and exits 0. The header (the checkout, the versions and the
-worker count) is shown but not compared.
+worker count) is shown but not compared. Any difference counts, progress
+lines included; a change of chunk count alone shows as record.progress.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -55,6 +59,8 @@ from cavmag.sweep import (  # noqa: E402
 )
 
 KAPPA_C = default_params().kappa_c
+# The line a grid command prints to stderr after each chunk
+PROGRESS_LINE = re.compile(r"[^\n]*: \d+/\d+ points\n?")
 GRID_COMMANDS = ("figure", "sweep", "stability")
 # Quantity subsets: every column, then each optional stage on its own
 QUANTITIES = (
@@ -123,7 +129,8 @@ def cli_cases(full: bool) -> list:
 
 
 def run_cli(argv, files, workers: int) -> dict:
-    """Exit code, stdout, stderr and written files of one cavmag run."""
+    """Exit code, stdout, progress lines, the rest of stderr and written
+    files of one cavmag run."""
     if argv[0] in GRID_COMMANDS:
         argv = (*argv, "--workers", str(workers))
     out, err = io.StringIO(), io.StringIO()
@@ -144,7 +151,11 @@ def run_cli(argv, files, workers: int) -> dict:
             }
         finally:
             os.chdir(here)
-    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": written}
+    lines = err.getvalue().splitlines(keepends=True)
+    progress = [line for line in lines if PROGRESS_LINE.fullmatch(line)]
+    stderr = [line for line in lines if not PROGRESS_LINE.fullmatch(line)]
+    return {"code": code, "stdout": out.getvalue(), "progress": "".join(progress),
+            "stderr": "".join(stderr), "files": written}
 
 
 def refusal(error: CavmagError, points: list) -> dict:
