@@ -69,25 +69,36 @@ class PhysicalParams:
     def replace(self, **changes) -> "PhysicalParams":
         """A copy with some fields changed, as dataclasses.replace gives it.
 
-        A change to one field, the only change a grid axis makes, copies the
-        fields and checks that one by the constructor's own _check_fields,
-        so it is stored or refused as the constructor would store or refuse
-        it; any other change calls the constructor on all the fields.
+        A change to one field, the only change a grid axis makes, is
+        _with_field's; any other change calls the constructor on all the
+        fields.
         """
         if len(changes) != 1 or not _FIELD_SET.issuperset(changes):
             return type(self)(**{**self.__dict__, **changes})
+        [(name, value)] = changes.items()
+        return self._with_field(name, value)
+
+    def _with_field(self, name: str, value) -> "PhysicalParams":
+        """A copy with the field name set to value: it copies the fields and
+        checks that one by the constructor's own _check_fields, so it is
+        stored or refused as the constructor would store or refuse it.
+        sweep.apply_axis_value calls it directly."""
         new = object.__new__(type(self))
         fields = new.__dict__
         fields.update(self.__dict__)
-        fields.update(changes)
-        _check_fields(fields, changes)
+        fields[name] = value
+        _check_fields(fields, (name,))
         return new
 
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(PhysicalParams))
 _FIELD_SET = frozenset(_FIELD_NAMES)
-_POSITIVE = ("kappa_1", "kappa_2", "kappa_m", "omega_m")
-_NON_NEGATIVE = ("gamma_1", "gamma_2", "r", "temperature")
+# Each signed field's rule, the positive ones first: the order in which the
+# constructor checks them.
+_SIGN_RULES = {
+    **dict.fromkeys(("kappa_1", "kappa_2", "kappa_m", "omega_m"), "positive"),
+    **dict.fromkeys(("gamma_1", "gamma_2", "r", "temperature"), "non-negative"),
+}
 
 
 def _check_fields(fields: dict, names) -> None:
@@ -96,10 +107,10 @@ def _check_fields(fields: dict, names) -> None:
     names holds every field in declaration order, or one field. Each must
     be a finite real number, and is stored as a float; then the decay rates
     and omega_m must be positive, and the couplings, r and the temperature
-    non-negative. The first field to fail raises DomainError. Each pass
-    takes the named fields in the constructor's order, so changing one
-    field of a valid instance meets the refusal that building the instance
-    with it meets.
+    non-negative. The first field to fail raises DomainError. Every field
+    is checked in the constructor's order, and one field against its own
+    rule alone, so changing one field of a valid instance meets the refusal
+    that building the instance with it meets.
     """
     for name in names:
         x = fields[name]
@@ -110,12 +121,11 @@ def _check_fields(fields: dict, names) -> None:
             raise DomainError(f"{name} must be a finite real number, got {x!r}")
         # a Fraction or an integer would reach numpy as an object or int
         fields[name] = value
-    for name in _POSITIVE:
-        if name in names and not fields[name] > 0.0:
-            raise DomainError(f"{name} must be positive, got {fields[name]}")
-    for name in _NON_NEGATIVE:
-        if name in names and fields[name] < 0.0:
-            raise DomainError(f"{name} must be non-negative, got {fields[name]}")
+    for name in names if len(names) == 1 else _SIGN_RULES:
+        rule = _SIGN_RULES.get(name)
+        x = fields[name]
+        if rule == "positive" and not x > 0.0 or rule == "non-negative" and x < 0.0:
+            raise DomainError(f"{name} must be {rule}, got {x}")
 
 
 def finite_float(x) -> float | None:
@@ -208,20 +218,42 @@ def drift_matrix(p: PhysicalParams) -> np.ndarray:
     ]).reshape(6, 6)
 
 
-def diffusion_matrix(p: PhysicalParams) -> np.ndarray:
+# Positions in a point's row of six entries (below) of each entry of the flattened
+# 6x6 D: 0.0, the magnon, cavity 1 and cavity 2 diagonals, +cross on
+# (X1, X2) and -cross on (Y1, Y2).
+_DIFFUSION_INDEX = np.array([
+    1, 0, 0, 0, 0, 0,
+    0, 1, 0, 0, 0, 0,
+    0, 0, 2, 0, 4, 0,
+    0, 0, 0, 2, 0, 5,
+    0, 0, 4, 0, 3, 0,
+    0, 0, 0, 5, 0, 3,
+])
+
+
+def diffusion_matrix(points) -> np.ndarray:
     """6x6 noise-correlation source term of the Lyapunov equation.
 
     The magnon block is thermal, each cavity block carries the squeezed-drive
     occupation, and the cavity-cavity cross block holds the two-mode
     correlations: +2M sqrt(k1 k2) on (X1, X2) and the opposite sign on
     (Y1, Y2).
+
+    points is one PhysicalParams, which gives a 6x6 D, or a sequence of
+    them, which gives a (k, 6, 6) stack, bit for bit their 6x6 matrices:
+    each point's six distinct entries are Python floats from noise_moments,
+    and one numpy gather places them, the zeros as +0.0 (so -cross is -0.0
+    at r = 0).
     """
-    big_n, big_m, n_m = noise_moments(p.r, p.omega_m, p.temperature)
-    d = np.zeros((6, 6))
-    d[0, 0] = d[1, 1] = p.kappa_m * (2.0 * n_m + 1.0)
-    d[2, 2] = d[3, 3] = p.kappa_1 * (2.0 * big_n + 1.0)
-    d[4, 4] = d[5, 5] = p.kappa_2 * (2.0 * big_n + 1.0)
-    cross = 2.0 * big_m * math.sqrt(p.kappa_1 * p.kappa_2)
-    d[2, 4] = d[4, 2] = cross
-    d[3, 5] = d[5, 3] = -cross
-    return d
+    single = isinstance(points, PhysicalParams)
+    entries = []
+    for p in [points] if single else points:
+        big_n, big_m, n_m = noise_moments(p.r, p.omega_m, p.temperature)
+        squeezed = 2.0 * big_n + 1.0
+        cross = 2.0 * big_m * math.sqrt(p.kappa_1 * p.kappa_2)
+        entries.append(
+            (0.0, p.kappa_m * (2.0 * n_m + 1.0), p.kappa_1 * squeezed, p.kappa_2 * squeezed,
+             cross, -cross)
+        )
+    d = np.array(entries).reshape(-1, 6).take(_DIFFUSION_INDEX, axis=1)
+    return d.reshape(6, 6) if single else d.reshape(-1, 6, 6)

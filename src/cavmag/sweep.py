@@ -157,7 +157,7 @@ def apply_axis_value(base: PhysicalParams, parameter: str, value: float) -> Phys
     if not isinstance(parameter, str) or parameter not in AXES:
         raise ValidationError(f"unknown axis parameter {parameter!r}")
     field, scale = AXES[parameter]
-    return base.replace(**{field: value if scale is None else value * getattr(base, scale)})
+    return base._with_field(field, value if scale is None else value * getattr(base, scale))
 
 
 def _evaluate_range(args) -> list:
@@ -385,12 +385,6 @@ def with_resolution(spec: SweepSpec, counts) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format(float(value), ".17g")
-
-
 def _atomic_write(destination, text: str):
     destination = os.fspath(destination)
     directory = os.path.dirname(destination) or "."
@@ -413,10 +407,16 @@ def _atomic_write(destination, text: str):
 
 
 def write_csv(result: SweepResult, destination) -> None:
-    """UTF-8 CSV with a header row, LF endings and 17-significant-digit floats."""
+    """UTF-8 CSV with a header row, LF endings and 17-significant-digit floats.
+
+    Each row is one %-format of its cells: every cell but the last as
+    "%.17g" (format(x, ".17g") of the float, inf and nan included) and the
+    stable flag as true or false.
+    """
+    template = "%.17g," * (len(result.columns) - 1) + "%s"
+    flags = {True: "true", False: "false"}
     lines = [",".join(result.columns)]
-    for row in result.rows:
-        lines.append(",".join(map(_format_cell, row)))
+    lines += [template % (*row[:-1], flags[row[-1]]) for row in result.rows]
     _atomic_write(destination, "\n".join(lines) + "\n")
 
 

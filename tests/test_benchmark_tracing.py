@@ -51,12 +51,14 @@ def test_traced_serial_sweep_counts_each_layer():
     # the per-layer figures are counted through these names: a point of a
     # two-axis grid builds its parameters twice and gives one row, and the
     # sweep's one chunk (a grid of fewer than 64 points is one chunk) takes
-    # one full_report call
+    # one full_report call, which builds the one drift's diffusion matrices
+    # in one diffusion_matrix call
     spec = with_resolution(figure_preset("fig4a"), (3, 3))
     with tracing.Tracer() as tracer:
         run_sweep(spec, workers=1)
     assert tracer.counts["measures.full_report"] == 1
     assert tracer.counts["model.params"] == 18
     assert tracer.counts["measures.as_dict"] == 9
+    assert tracer.counts["model.diffusion"] == 1
     metrics = tracing.layer_metrics(tracer)
     assert metrics["measures.full_report_us"] > 0.0

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 from conftest import run_python
@@ -32,6 +33,9 @@ def test_smoke_dumps_on_one_and_two_workers_are_identical(tmp_path):
     assert "points" not in grid["stderr"]
     row = cases["stress 0"]["rows"][0]
     assert row.pop("stable") is True and all(cell.startswith(("0x", "-0x")) for cell in row.values())
+    # a 9-point stack of each kind, which full_report finishes on arrays
+    for case in ("mixed stack of 9 0", "shared drift stack of 9 0"):
+        assert len(cases[case]["rows"]) == 9, case
 
     # one changed cell, or one more progress line, is reported by its case
     # and key, with exit status 1
@@ -49,3 +53,19 @@ def test_smoke_dumps_on_one_and_two_workers_are_identical(tmp_path):
     assert proc.returncode == 1
     assert "differs: stress 0\n  record.rows[0].nu_min:\n" in proc.stdout
     assert proc.stdout.splitlines()[-1] == f"1 of {len(cases)} cases differ"
+
+    # with --tolerance, a cell moved by one ulp is reported by its column
+    # with its absolute and relative size, and still exits 1
+    nu_min = float.fromhex(row_hex := cases["stress 0"]["rows"][0]["nu_min"])
+    dumped["cases"]["stress 0"]["rows"][0]["nu_min"] = math.nextafter(nu_min, math.inf).hex()
+    dumps[1].write_text(json.dumps(dumped))
+    proc = run_python(TOOL, "diff", "--tolerance", *map(str, dumps))
+    assert proc.returncode == 1 and row_hex in proc.stdout
+    ulp = math.ulp(nu_min)
+    assert (
+        f"column nu_min: 1 differing cells; max abs {ulp:.3e} at stress 0; "
+        f"max rel {ulp / math.nextafter(nu_min, math.inf):.3e} at stress 0\n"
+    ) in proc.stdout
+    assert "column e_n_c1c2: identical\n" in proc.stdout
+    columns = [line for line in proc.stdout.splitlines() if line.startswith("column")]
+    assert columns and not any("cli " in line for line in columns)

@@ -100,6 +100,26 @@ def negativity_bounds(v, exact) -> dict:
     }
 
 
+def assert_columns_within_bounds(row, v, exact):
+    """Each column of row against the 50-digit columns exact of V: each
+    negativity is held to negativity_bounds, each residual contangle to
+    that bound carried through its three squares, nu_min to 1e-12 relative
+    and every other column to 1e-12."""
+    bound = negativity_bounds(v, exact)
+    terms = {
+        "m": ("e_n_m_vs_c1c2", "e_n_mc1", "e_n_mc2"),
+        "c1": ("e_n_c1_vs_mc2", "e_n_mc1", "e_n_c1c2"),
+        "c2": ("e_n_c2_vs_mc1", "e_n_mc2", "e_n_c1c2"),
+    }
+    for mode, columns in terms.items():
+        propagated = sum(2.0 * exact[c] * bound[c] + bound[c] ** 2 for c in columns)
+        bound[f"r_tau_{mode}"] = max(1e-12, propagated)
+    bound["r_tau_min"] = max(bound[f"r_tau_{mode}"] for mode in terms)
+    bound["nu_min"] = 1e-12 * exact["nu_min"]
+    for column, value in exact.items():
+        assert abs(row[column] - value) <= bound.get(column, 1e-12), column
+
+
 def residual_contangle(v, focus) -> float:
     """E^2(u|vw) - E^2(u|v) - E^2(u|w) of the focus mode u from the
     reference negativities, raw: a large negative would be a monogamy
@@ -179,9 +199,15 @@ COLUMN_ORACLE_POINTS = {
 KERNEL_NAMES = {
     "_measures", "_row", "_quotient", "_SPECTRUM_MASKS", "_SPECTRUM_FORMS", "_PAIR_INDEX",
     "_PAIR_TWIST", "_HOLDING_PAIRS", "_LOG_SCALES", "_STAGE_COLUMNS",
+    "_ARRAY_TAIL_MIN", "_array_rows", "_MODE_BLOCKS", "_CROSS_BLOCKS", "_PAIR_MODES",
+    "_HOLDING_ROWS",
 }
-# Module-level names of measures.py that the kernel shares with the reference.
-SHARED_NAMES = {"_PAIRS", "_EPS", "PHYSICALITY_ATOL", "_require_heisenberg", "_clamp_residual"}
+# Module-level names of measures.py that the kernel shares with the reference
+# (RESIDUAL_FLOOR: _clamp_residual's, which the array tail applies column-wise).
+SHARED_NAMES = {
+    "_PAIRS", "_EPS", "PHYSICALITY_ATOL", "RESIDUAL_FLOOR", "_require_heisenberg",
+    "_clamp_residual",
+}
 REFERENCE_FUNCTIONS = (
     "as_mode", "symplectic_form", "reduce", "symplectic_eigenvalues", "_pt_negativity",
     "log_negativity", "log_negativity_one_vs_two", "_require_positive_det",
@@ -722,27 +748,12 @@ class TestBatchedReport:
 
     @pytest.mark.parametrize("point", COLUMN_ORACLE_POINTS)
     def test_every_column_matches_50_digit_value(self, point):
-        # each negativity is held to negativity_bounds, each residual
-        # contangle to that bound carried through its three squares, and
-        # every other column to 1e-12
         p = COLUMN_ORACLE_POINTS[point]
         v = steady_state_cm(p)
         row = full_report(p).as_dict()
         exact = columns_mp(v)
         assert list(exact) == list(measures.REPORT_COLUMNS[:-1])
-        bound = negativity_bounds(v, exact)
-        terms = {
-            "m": ("e_n_m_vs_c1c2", "e_n_mc1", "e_n_mc2"),
-            "c1": ("e_n_c1_vs_mc2", "e_n_mc1", "e_n_c1c2"),
-            "c2": ("e_n_c2_vs_mc1", "e_n_mc2", "e_n_c1c2"),
-        }
-        for mode, columns in terms.items():
-            propagated = sum(2.0 * exact[c] * bound[c] + bound[c] ** 2 for c in columns)
-            bound[f"r_tau_{mode}"] = max(1e-12, propagated)
-        bound["r_tau_min"] = max(bound[f"r_tau_{mode}"] for mode in terms)
-        bound["nu_min"] = 1e-12 * exact["nu_min"]
-        for column, value in exact.items():
-            assert abs(row[column] - value) <= bound.get(column, 1e-12), column
+        assert_columns_within_bounds(row, v, exact)
 
     @pytest.mark.parametrize("point", COLUMN_ORACLE_POINTS)
     def test_reference_negativities_match_50_digit_value(self, point):
@@ -958,6 +969,122 @@ class TestBatchedReport:
         )
         with pytest.raises(PhysicalityError, match="Heisenberg.*at parameter point"):
             full_report(default_params())
+
+    # every (one_vs_two, steering) pair of the optional stages
+    STAGES = tuple(itertools.product((True, False), repeat=2))
+
+    def both_tails(self, monkeypatch, v, stages):
+        """_measures of the stack v finished on arrays, then by _row: the
+        float.hex of every cell, or the refusal's type and message."""
+        outcomes = []
+        for smallest in (1, 10**9):
+            monkeypatch.setattr(measures, "_ARRAY_TAIL_MIN", smallest)
+            with np.errstate(all="ignore"):
+                try:
+                    rows = measures._measures(v, *stages)
+                except CavmagError as exc:
+                    outcomes.append((type(exc), str(exc)))
+                else:
+                    outcomes.append([[x.hex() for x in row] for row in rows])
+        return outcomes
+
+    @settings(derandomize=True, deadline=None, max_examples=6)
+    @given(st.lists(st.fixed_dictionaries(STRESS_BOX), min_size=33, max_size=33))
+    def test_array_tail_gives_the_bits_of_the_row_tail(self, draws):
+        # about 200 stress-box CMs in stacks of 8 and of 33, through every
+        # pair of optional stages: the array tail gives each cell's bits
+        # that _row gives, and it is the tail taken (no fallback)
+        stack = []
+        for point in draws:
+            try:
+                stack.append(steady_state_cm(stress_params(**point)))
+            except CavmagError:
+                continue
+        stack = np.array(stack)
+        finished = []
+        real_array_rows = measures._array_rows
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(
+                measures, "_array_rows",
+                lambda *args: finished.append(real := real_array_rows(*args)) or real,
+            )
+            for stages in self.STAGES:
+                for v in (stack[:8], stack):
+                    on_arrays, by_rows = self.both_tails(monkeypatch, v, stages)
+                    assert on_arrays == by_rows, stages
+        assert finished and all(rows is not None for rows in finished)
+
+    def test_array_tail_keeps_the_clamps_and_ties(self, monkeypatch):
+        # the vacuum, whose every log argument is exactly 1, so -0.5 ln 1 =
+        # -0.0 is clamped to +0.0; separable pairs on a zero discriminant
+        # (TestColumnsMp); and a CM made cavity-symmetric by copying cavity
+        # 1's blocks to cavity 2 (at delta_m = -4, delta_1 = delta_2 = 4
+        # kappa_c, where the solved e_n_mc1 and e_n_mc2 differ by 1.8e-16),
+        # whose e_n_mc1 and e_n_mc2 are equal, so e_n_mc_max meets max's tie
+        separable = []
+        for a, c in [(1.25, 0.2), (1.25, 0.7), (1.5, 0.7), (2.5, 0.4)]:
+            v = 0.5 * np.eye(6)
+            v[2:, 2:] = np.kron(np.array([[a, c], [c, a]]), np.eye(2))
+            separable.append(v)
+        symmetric = steady_state_cm(
+            default_params().replace(delta_m=-4 * KAPPA_C, delta_1=4 * KAPPA_C, delta_2=4 * KAPPA_C)
+        )
+        symmetric[4:6, 4:6] = symmetric[2:4, 2:4]
+        symmetric[0:2, 4:6] = symmetric[0:2, 2:4]
+        symmetric[4:6, 0:2] = symmetric[2:4, 0:2]
+        symmetric[4:6, 2:4] = symmetric[2:4, 4:6].T
+        stack = np.array([VACUUM_6, *separable, symmetric, VACUUM_6, symmetric])
+        for stages in self.STAGES:
+            on_arrays, by_rows = self.both_tails(monkeypatch, stack, stages)
+            assert on_arrays == by_rows, stages
+            columns = measures._STAGE_COLUMNS[stages]
+            vacuum, tie = (dict(zip(columns, on_arrays[i])) for i in (0, 5))
+            assert all(
+                x == (0.0).hex() for column, x in vacuum.items() if column != "nu_min"
+            ), vacuum
+            assert tie["e_n_mc1"] == tie["e_n_mc2"] == tie["e_n_mc_max"] != (0.0).hex()
+
+    def test_array_tail_clamps_a_negative_discriminant(self):
+        # (det A - det B)^2 - 4 det G is >= 0 for every physical pair, but
+        # rounding can leave it below 0, where max(s, 0.0) makes the root
+        # split 0; no solved CM found has it, so det G is raised by hand
+        # (G = I at each pair), and both tails are given the same inputs
+        v = np.array([
+            steady_state_cm(default_params().replace(r=r)) for r in np.linspace(0.1, 1, 8)
+        ])
+        spectra = numerics.eigvals(measures._SPECTRUM_FORMS @ v[:, None]).imag
+        pair_cms = v.reshape(-1, 36).take(measures._PAIR_INDEX, axis=1)
+        det_pairs = numerics.det(pair_cms)
+        g = np.zeros((len(v), 3, 4))
+        g[..., 0] = g[..., 3] = 1.0
+        for steering in (True, False):
+            with np.errstate(all="ignore"):
+                on_arrays = measures._array_rows(v, spectra, det_pairs, g, steering)
+                by_rows = list(map(measures._row, v.tolist(), spectra.tolist(), det_pairs.tolist(),
+                                   g.tolist(), itertools.repeat(steering)))
+            assert [[x.hex() for x in row] for row in on_arrays] == [
+                [x.hex() for x in row] for row in by_rows
+            ]
+
+    def test_array_tail_refuses_as_the_row_tail(self, monkeypatch):
+        # a sub-vacuum CM among valid ones (the Heisenberg refusal), one
+        # whose determinants overflow (a measure that is not finite), and
+        # the conditioning and sign refusals of the first array pass: each
+        # stack of 8 is refused with the same type and message either way
+        valid = [steady_state_cm(default_params().replace(r=r)) for r in np.linspace(0, 1, 7)]
+        cases = [
+            (PhysicalityError, "Heisenberg bound", 0.4 * np.eye(6)),
+            (NumericalError, "not finite", 1e160 * np.eye(6)),
+            (NumericalError, "ill-conditioned", np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-12])),
+            (PhysicalityError, "not positive definite", np.diag([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0])),
+        ]
+        for error, message, bad in cases:
+            for position in (0, 3, 7):
+                stack = np.array(valid[:position] + [bad] + valid[position:])
+                for stages in self.STAGES:
+                    on_arrays, by_rows = self.both_tails(monkeypatch, stack, stages)
+                    assert on_arrays == by_rows, (message, stages)
+                    assert on_arrays[0] is error and message in on_arrays[1], on_arrays
 
 
 def report_bits(report) -> list:

@@ -188,17 +188,20 @@ class TestPhysicalParams:
 
     def test_constructor_and_replace_share_one_field_check(self):
         # both go through _check_fields and hold no refusal of their own, so
-        # what one accepts or refuses the other cannot drift from
+        # what one accepts or refuses the other cannot drift from: replace's
+        # one-field path is _with_field (which apply_axis_value calls), and
+        # its other path the constructor
         with open(model.__file__, encoding="utf-8") as handle:
             tree = ast.parse(handle.read())
         [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PhysicalParams"]
         methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
-        for name in ("__post_init__", "replace"):
+        for name, check in (("__post_init__", "_check_fields"), ("_with_field", "_check_fields"),
+                            ("replace", "_with_field")):
             nodes = list(ast.walk(methods[name]))
-            called = {
-                n.func.id for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-            }
-            assert "_check_fields" in called, name
+            calls = [n.func for n in nodes if isinstance(n, ast.Call)]
+            called = {f.id for f in calls if isinstance(f, ast.Name)}
+            called |= {f.attr for f in calls if isinstance(f, ast.Attribute)}
+            assert check in called, name
             assert not any(isinstance(n, ast.Raise) for n in nodes), name
             assert "DomainError" not in {n.id for n in nodes if isinstance(n, ast.Name)}, name
 
@@ -293,6 +296,22 @@ class TestDiffusionMatrix:
             assert np.array_equal(
                 SWAP @ diffusion_matrix(p) @ SWAP.T, diffusion_matrix(swapped(p))
             )
+
+    def test_sequence_stacks_the_points_bit_for_bit(self, rng):
+        # a sequence gives the (k, 6, 6) stack of its points' matrices, each
+        # with the bytes of its own call; at r = 0 the cross terms are +0.0
+        # on (X1, X2) and -0.0 on (Y1, Y2), as one point's are
+        points = [random_params(rng) for _ in range(20)]
+        points += [default_params().replace(r=0.0), default_params().replace(r=354.0)]
+        stack = diffusion_matrix(points)
+        assert stack.shape == (len(points), 6, 6)
+        assert stack.tobytes() == np.array([diffusion_matrix(p) for p in points]).tobytes()
+        assert diffusion_matrix(points[:1]).tobytes() == diffusion_matrix(points[0]).tobytes()
+        assert diffusion_matrix(()).shape == (0, 6, 6)
+        at_zero = stack[-2]
+        assert [math.copysign(1.0, at_zero[i, j]) for i, j in ((2, 4), (4, 2), (3, 5), (5, 3))] == [
+            1.0, 1.0, -1.0, -1.0
+        ]
 
     def test_matches_the_public_noise_moments_bit_for_bit(self, rng):
         # over stress-box draws (rates in kappa_c, log-uniform), the inf

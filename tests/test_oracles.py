@@ -8,8 +8,10 @@ import pytest
 import cavmag
 from cavmag import measures
 from cavmag.errors import DimensionError, DomainError, StabilityError
+from cavmag.model import default_params
+from conftest import KAPPA_C
 from oracles import StepSizeError, columns_mp, integrate_lyapunov_ode
-from test_measures import tmsv
+from test_measures import assert_columns_within_bounds, steady_state_cm, tmsv
 
 ORACLES = os.path.join(os.path.dirname(__file__), "oracles.py")
 
@@ -109,6 +111,36 @@ class TestColumnsMp:
         assert list(columns) == list(measures.REPORT_COLUMNS[:-1])
         for column, value in columns.items():
             assert abs(row[column] - value) <= 1e-12, column
+
+
+    # the corners of the sweep's domain: fig4a's r x T window and two
+    # corners of fig6a's delta_1 x delta_m window (delta_2 = 0)
+    SWEEP_CORNERS = {
+        **{f"fig4a r = {r}, T = {t} K": default_params().replace(r=r, temperature=t)
+           for r in (0.0, 1.0) for t in (0.02, 3.02)},
+        **{f"fig6a delta_1 = delta_m = {d} kappa_c": default_params().replace(
+            delta_1=d * KAPPA_C, delta_m=d * KAPPA_C) for d in (-6.0, 6.0)},
+    }
+
+    def test_sweep_corners_match_50_digit_columns(self):
+        # each corner alone (a stack of one, finished by _row) and all six
+        # in one stack of 8 (finished on arrays) meet the bounds of
+        # test_every_column_matches_50_digit_value, with the same bits
+        points = list(self.SWEEP_CORNERS.values())
+        stacked = measures.full_report(points + points[:2])
+        assert len(stacked) >= measures._ARRAY_TAIL_MIN
+        for label, p, in_stack in zip(self.SWEEP_CORNERS, points, stacked):
+            v = steady_state_cm(p)
+            exact = columns_mp(v)
+            alone = measures.full_report(p).as_dict()
+            for row in (alone, in_stack.as_dict()):
+                try:
+                    assert_columns_within_bounds(row, v, exact)
+                except AssertionError as exc:
+                    raise AssertionError(f"{label}: {exc}") from exc
+            assert [x.hex() for x in in_stack.values.values()] == [
+                x.hex() for x in measures.full_report(p).values.values()
+            ], label
 
 
 class TestPackageBoundary:

@@ -1,8 +1,8 @@
 """Byte-identity harness: record what one checkout's cavmag prints, writes and
 computes, then compare two such records.
 
-    python tools/identity.py dump --out A.json [--workers N] [--cases full|smoke]
-    python tools/identity.py diff A.json B.json
+    python tools/identity.py dump --out A.json [--workers N] [--cases full|smoke|presets]
+    python tools/identity.py diff A.json B.json [--tolerance]
 
 dump imports cavmag from the src/ directory next to this file, so a copy of
 the tool in another checkout (say, one made with `git archive`) records that
@@ -20,13 +20,22 @@ Each case has an id and a record:
 The full set holds all 19 presets at 21 points per axis, CSV and JSON; the
 refusal runs that the tier-1 CLI and sweep tests pin; the golden entries;
 the preset grids at 5x4; seeded draws from a stress box and a wide box over
-four quantity subsets; and mixed stacks of 8 points. The smoke set is a few
-of each.
+four quantity subsets; mixed stacks of 8 points; and stacks of 7, 8, 9 and
+33 points, mixed and on one drift, on both sides of the size from which
+full_report finishes a stack on arrays. The smoke set is a few of each,
+with one 9-point stack. The presets set is the float.hex of every cell of
+all 19 presets at their default resolution (101x101 or 401 points), each
+run with --workers N (serially by default); it takes about 15 s serially.
 
 diff prints the first ten differing cases and exits 1, or says that every case
 is identical and exits 0. The header (the checkout, the versions and the
 worker count) is shown but not compared. Any difference counts, progress
 lines included; a change of chunk count alone shows as record.progress.
+With --tolerance it also prints, for each library column (a report's key
+or a sweep row's column), the largest absolute and relative difference of
+its cells over every case both dumps hold, and the case where each occurs;
+the exit status is as without it, so a cell that moves by one ulp still
+exits 1.
 """
 
 from __future__ import annotations
@@ -183,6 +192,12 @@ def call(function, points: list) -> dict:
     return record
 
 
+def sweep_case(spec, workers: int = 1) -> dict:
+    """run_sweep's rows as call records them, with the spec's column names."""
+    return {"columns": list(spec.columns),
+            **call(lambda: run_sweep(spec, workers=workers).rows, [])}
+
+
 def hex_row(row) -> list | dict:
     """A report or a sweep row with each float as float.hex."""
     if isinstance(row, list):
@@ -235,10 +250,10 @@ def library_cases(full: bool) -> dict:
         spec = figure_preset(figure_id)
         spec = with_resolution(spec, (5, 4)[: len(spec.axes)])
         spec = SweepSpec(spec.base, spec.axes, REPORT_COLUMNS)
-        cases[f"preset grid {figure_id} 5x4"] = call(lambda: run_sweep(spec).rows, [])
+        cases[f"preset grid {figure_id} 5x4"] = sweep_case(spec)
     hot = SweepSpec(default_params().replace(temperature=2.0), (AxisSpec("r", 5.0, 6.0, 5),),
                     REPORT_COLUMNS)
-    cases["preset grid refusal"] = call(lambda: run_sweep(hot).rows, [])
+    cases["preset grid refusal"] = sweep_case(hot)
     rng = np.random.default_rng(20240917)
     for box, n in (("stress", 3000 if full else 16), ("wide", 1000 if full else 8)):
         points = [draw(rng, box == "wide") for _ in range(n)]
@@ -253,18 +268,37 @@ def library_cases(full: bool) -> dict:
         p = draw(rng, False)
         stack = [p.replace(r=r, temperature=t) for r, t in rng.uniform(0.0, 3.0, (8, 2))]
         cases[f"shared drift stack {i}"] = report_case(stack, QUANTITIES[i % len(QUANTITIES)])
+    # stacks on both sides of the array tail's smallest size: stress-box
+    # draws, each with its own drift, and r and T around one drift
+    for size in (7, 8, 9, 33) if full else (9,):
+        for i in range(20 if full else 1):
+            quantities = QUANTITIES[i % len(QUANTITIES)]
+            mixed = [draw(rng, False) for _ in range(size)]
+            cases[f"mixed stack of {size} {i}"] = report_case(mixed, quantities)
+            p = draw(rng, False)
+            shared = [p.replace(r=r, temperature=t) for r, t in rng.uniform(0.0, 3.0, (size, 2))]
+            cases[f"shared drift stack of {size} {i}"] = report_case(shared, quantities)
     return cases
 
 
-def dump(out: str, workers: int, full: bool) -> int:
+def preset_cases(workers: int) -> dict:
+    """Every preset at its default resolution, by id."""
+    return {f"preset {figure_id}": sweep_case(figure_preset(figure_id), workers)
+            for figure_id in FIGURE_IDS}
+
+
+def dump(out: str, workers: int, which: str) -> int:
     if not Path(cavmag.__file__).resolve().is_relative_to(SRC):
         sys.exit(f"error: cavmag was imported from {cavmag.__file__}, not from {SRC}")
-    cases = {}
-    for argv, files in cli_cases(full):
-        cases["cli " + " ".join(argv)] = run_cli(argv, files, workers)
-    cases.update(library_cases(full))
+    if which == "presets":
+        cases = preset_cases(workers)
+    else:
+        full = which == "full"
+        cases = {"cli " + " ".join(argv): run_cli(argv, files, workers)
+                 for argv, files in cli_cases(full)}
+        cases.update(library_cases(full))
     meta = {
-        "checkout": str(SRC.parent), "workers": workers, "cases": "full" if full else "smoke",
+        "checkout": str(SRC.parent), "workers": workers, "cases": which,
         "python": sys.version.split()[0], "numpy": np.__version__,
     }
     Path(out).write_text(json.dumps({"meta": meta, "cases": cases}, indent=0) + "\n")
@@ -289,7 +323,46 @@ def differences(a, b, where: str) -> list:
     return [f"  {where}:\n    {a!r:.300}\n    {b!r:.300}"]
 
 
-def diff(path_a: str, path_b: str) -> int:
+def cells(record: dict):
+    """(column, float.hex) of every float cell of a library record's rows."""
+    for row in record.get("rows", ()) if isinstance(record, dict) else ():
+        if isinstance(row, dict):
+            yield from ((column, x) for column, x in row.items() if isinstance(x, str))
+        else:
+            names = record.get("columns") or [f"[{i}]" for i in range(len(row))]
+            yield from ((column, x) for column, x in zip(names, row) if isinstance(x, str))
+
+
+def tolerances(cases_a: dict, cases_b: dict) -> dict:
+    """Per library column: [cells whose bits differ, largest absolute
+    difference, its case, largest relative difference, its case], over the
+    cases both dumps hold with rows of one length. A nan against a number,
+    or inf against another value, differs by inf; +0.0 against -0.0 by 0."""
+    worst = {}
+    for case, record in cases_a.items():
+        other = cases_b.get(case)
+        if not isinstance(other, dict) or len(record.get("rows", ())) != len(other.get("rows", ())):
+            continue
+        for (column, x), (column_b, y) in zip(cells(record), cells(other)):
+            if column != column_b:
+                continue
+            entry = worst.setdefault(column, [0, 0.0, None, 0.0, None])
+            if x == y:
+                continue
+            x, y = float.fromhex(x), float.fromhex(y)
+            delta = abs(x - y)
+            if not math.isfinite(delta):
+                delta = math.inf
+            relative = delta / max(abs(x), abs(y)) if math.isfinite(delta) and delta else delta
+            entry[0] += 1
+            if delta > entry[1] or entry[2] is None:
+                entry[1:3] = delta, case
+            if relative > entry[3] or entry[4] is None:
+                entry[3:] = relative, case
+    return worst
+
+
+def diff(path_a: str, path_b: str, tolerance: bool = False) -> int:
     a, b = (json.loads(Path(path).read_text()) for path in (path_a, path_b))
     for path, dumped in ((path_a, a), (path_b, b)):
         print(f"{path}: {dumped['meta']}")
@@ -301,6 +374,16 @@ def diff(path_a: str, path_b: str) -> int:
             print(f"  only in {path_a if case in a['cases'] else path_b}")
             continue
         print("\n".join(differences(a["cases"][case], b["cases"][case], "record")))
+    if tolerance:
+        library = {case: a["cases"][case] for case in a["cases"] if not case.startswith("cli ")}
+        for column, (count, delta, at, relative, at_relative) in tolerances(
+            library, b["cases"]
+        ).items():
+            if count:
+                print(f"column {column}: {count} differing cells; max abs {delta:.3e} at {at}; "
+                      f"max rel {relative:.3e} at {at_relative}")
+            else:
+                print(f"column {column}: identical")
     if differing:
         print(f"{len(differing)} of {len(ids)} cases differ")
         return 1
@@ -314,14 +397,16 @@ def main(argv=None) -> int:
     p_dump = commands.add_parser("dump", help="record this checkout's outputs")
     p_dump.add_argument("--out", required=True)
     p_dump.add_argument("--workers", type=int, default=1)
-    p_dump.add_argument("--cases", choices=("full", "smoke"), default="full")
+    p_dump.add_argument("--cases", choices=("full", "smoke", "presets"), default="full")
     p_diff = commands.add_parser("diff", help="compare two dumps")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
+    p_diff.add_argument("--tolerance", action="store_true",
+                        help="also print each library column's largest abs and rel difference")
     args = parser.parse_args(argv)
     if args.command == "dump":
-        return dump(args.out, args.workers, args.cases == "full")
-    return diff(args.a, args.b)
+        return dump(args.out, args.workers, args.cases)
+    return diff(args.a, args.b, args.tolerance)
 
 
 if __name__ == "__main__":
